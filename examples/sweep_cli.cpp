@@ -26,7 +26,7 @@
 //   ./sweep_cli --routing DOR --loads 0.5 --shards 8
 //       # deterministic: byte-identical to --shards 1 for any shard count.
 //       # --shards outranks FLEXNET_THREADS ('auto' = that thread count,
-//       # capped at the node count); combining with --step-dense is an error.
+//       # capped at the node count); --step-dense composes with any count.
 //   ./sweep_cli --topology file:examples/topologies/irregular-16.topo
 //       --loads 0.6 --capture-deadlocks corpus  # irregular network, TableMin
 //   ./sweep_cli --topology dragonfly --df-routers 8 --df-globals 1

@@ -153,7 +153,7 @@ ExperimentConfig experiment_from_options(const Options& opts) {
   cfg.run.check_invariants = opts.get_bool("check", false);
   cfg.run.step_dense = opts.get_bool("step-dense", false);
 
-  // --shards N|auto selects the parallel stepping engine. Strict parse: only
+  // --shards N|auto sets the step engine's shard count. Strict parse: only
   // "auto" or an all-digit positive count is accepted ("8x", "", "-2" are
   // errors, not silent fallbacks). "auto" resolves at construction to
   // min(worker_thread_count(), nodes); worker_thread_count() honors
@@ -176,11 +176,6 @@ ExperimentConfig experiment_from_options(const Options& opts) {
         throw std::invalid_argument("--shards out of range: " + shards_arg);
       }
       cfg.run.shards = static_cast<int>(value);
-    }
-    if (cfg.run.step_dense) {
-      throw std::invalid_argument(
-          "--shards cannot combine with --step-dense (the dense sweep is the "
-          "serial engine's oracle)");
     }
   }
 

@@ -12,26 +12,6 @@ FlitFifo::FlitFifo(int capacity) {
   slots_.resize(static_cast<std::size_t>(capacity));
 }
 
-void FlitFifo::push(Flit flit) {
-  assert(!full());
-  const int tail = (head_ + count_) % capacity();
-  slots_[static_cast<std::size_t>(tail)] = flit;
-  ++count_;
-}
-
-Flit FlitFifo::pop() {
-  assert(!empty());
-  const Flit flit = slots_[static_cast<std::size_t>(head_)];
-  head_ = (head_ + 1) % capacity();
-  --count_;
-  return flit;
-}
-
-const Flit& FlitFifo::front() const {
-  assert(!empty());
-  return slots_[static_cast<std::size_t>(head_)];
-}
-
 const Flit& FlitFifo::at(int i) const {
   assert(i >= 0 && i < count_);
   return slots_[static_cast<std::size_t>((head_ + i) % capacity())];

@@ -1,6 +1,7 @@
 // Fixed-capacity flit FIFO backing each virtual channel's edge buffer.
 #pragma once
 
+#include <cassert>
 #include <vector>
 
 #include "sim/flit.hpp"
@@ -19,12 +20,29 @@ class FlitFifo {
   [[nodiscard]] bool empty() const noexcept { return count_ == 0; }
   [[nodiscard]] bool full() const noexcept { return count_ == capacity(); }
 
+  // The step engine's per-flit operations, inline and wrapping by compare
+  // (head_ < capacity and count_ <= capacity, so one subtraction suffices).
   /// Precondition: !full().
-  void push(Flit flit);
+  void push(Flit flit) noexcept {
+    assert(!full());
+    int tail = head_ + count_;
+    if (tail >= capacity()) tail -= capacity();
+    slots_[static_cast<std::size_t>(tail)] = flit;
+    ++count_;
+  }
   /// Precondition: !empty().
-  Flit pop();
+  Flit pop() noexcept {
+    assert(!empty());
+    const Flit flit = slots_[static_cast<std::size_t>(head_)];
+    if (++head_ == capacity()) head_ = 0;
+    --count_;
+    return flit;
+  }
   /// Precondition: !empty().
-  [[nodiscard]] const Flit& front() const;
+  [[nodiscard]] const Flit& front() const noexcept {
+    assert(!empty());
+    return slots_[static_cast<std::size_t>(head_)];
+  }
   /// Flit at offset `i` from the front; precondition i < size().
   [[nodiscard]] const Flit& at(int i) const;
 

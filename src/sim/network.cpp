@@ -8,11 +8,10 @@
 #include "obs/obs.hpp"
 #include "routing/routing.hpp"
 #include "routing/selection.hpp"
-#include "telemetry/heatmap.hpp"
-#include "telemetry/profiler.hpp"
 #include "topo/factory.hpp"
 #include "util/binio.hpp"
 #include "util/parallel.hpp"  // WorkerPool completeness for ~Network()
+#include "util/rng.hpp"
 
 namespace flexnet {
 
@@ -23,21 +22,6 @@ namespace {
 
 [[noreturn]] void snapshot_mismatch(const std::string& what) {
   throw std::runtime_error("snapshot does not match this network: " + what);
-}
-
-void save_rng(BinWriter& out, const Pcg32& rng) {
-  const Pcg32::State s = rng.save();
-  out.u64(s.state);
-  out.u64(s.inc);
-  out.u64(s.draws);
-}
-
-void restore_rng(BinReader& in, Pcg32& rng) {
-  Pcg32::State s;
-  s.state = in.u64();
-  s.inc = in.u64();
-  s.draws = in.u64();
-  rng.restore(s);
 }
 
 void save_id_vector(BinWriter& out, const std::vector<VcId>& ids) {
@@ -70,30 +54,11 @@ void Network::trace(TraceEventKind kind, MessageId msg, VcId vc, VcId vc2,
   hooks_.tracer->emit(event);
 }
 
-// Diffs the previous request set (stashed in scratch_old_requests_) against
-// the new one and emits the CWG dashed-arc delta. Request sets are tiny (one
-// entry per candidate VC), so the quadratic scan is cheaper than sorting.
-void Network::trace_request_set_change(const Message& msg, VcId head_vc) {
-  for (const VcId want : msg.request_set) {
-    if (std::find(scratch_old_requests_.begin(), scratch_old_requests_.end(),
-                  want) == scratch_old_requests_.end()) {
-      trace(TraceEventKind::CwgArcAdded, msg.id, want, head_vc);
-    }
-  }
-  for (const VcId had : scratch_old_requests_) {
-    if (std::find(msg.request_set.begin(), msg.request_set.end(), had) ==
-        msg.request_set.end()) {
-      trace(TraceEventKind::CwgArcRemoved, msg.id, had, head_vc);
-    }
-  }
-}
-
 Network::Network(const SimConfig& config, NetworkDeps deps)
     : config_(config),
       topo_(deps.topology ? std::move(deps.topology) : make_topology(config)),
       routing_(std::move(deps.routing)),
-      selection_(std::move(deps.selection)),
-      rng_(splitmix64(config.seed), 0x6e657477 /* "netw" */) {
+      selection_(std::move(deps.selection)) {
   config_.validate();
   if (!topo_) throw std::invalid_argument("Network requires a topology");
   if (!routing_ || !selection_) {
@@ -157,11 +122,8 @@ Network::Network(const SimConfig& config, NetworkDeps deps)
 
   source_queues_.resize(static_cast<std::size_t>(nodes));
 
-  src_active_.reset(static_cast<std::size_t>(nodes));
-  eject_active_.reset(static_cast<std::size_t>(nodes));
-  chan_active_.reset(phys_.size());
-
   if (config_.link_fault_fraction > 0.0) inject_link_faults();
+  set_shards(1);  // one inline shard until the caller asks for more
 
   // Last: table-based algorithms build (or load) their routing tables against
   // the fully constructed network.
@@ -254,7 +216,7 @@ MessageId Network::enqueue_message(NodeId src, NodeId dst, std::int32_t length,
   messages_.push_back(std::move(msg));
   active_pos_.push_back(-1);
   source_queues_[static_cast<std::size_t>(src)].push_back(id);
-  sched_insert_src(src);  // schedule the node's next grant pass
+  node_ctx(src).src_active.insert(src);  // schedule the next grant pass
   ++counters_.generated;
   ++counters_.class_generated[class_index(cls)];
   return id;
@@ -269,79 +231,6 @@ std::int64_t Network::queued_message_count() const noexcept {
 double Network::capacity_flits_per_node(double avg_distance) const noexcept {
   return static_cast<double>(num_network_channels()) /
          (static_cast<double>(topo_->num_nodes()) * avg_distance);
-}
-
-void Network::step() {
-  if (sharded_) {
-    step_sharded();
-    ++now_;
-    return;
-  }
-  if (hooks_.profiler == nullptr) {
-    deliver_phase();
-    route_phase();
-    transmit_phase();
-  } else {
-    {
-      ScopedPhase timer(hooks_.profiler, SimPhase::Deliver);
-      deliver_phase();
-    }
-    {
-      ScopedPhase timer(hooks_.profiler, SimPhase::Route);
-      route_phase();
-    }
-    {
-      ScopedPhase timer(hooks_.profiler, SimPhase::Transmit);
-      transmit_phase();
-    }
-  }
-  ++now_;
-}
-
-// Each phase enumerates either every component (dense oracle) or only the
-// scheduled ones (event-driven default); the per-component workers are
-// shared, so the two paths are the same code acting on the same state in the
-// same ascending id order. ActiveSet's live-scan semantics make the orders
-// coincide exactly: a component woken ahead of the cursor is visited this
-// sweep (as the dense loop would), one woken behind the cursor stays
-// scheduled for the next cycle (the dense loop's earlier visit this cycle
-// happened before the enabling event and was a no-op).
-void Network::deliver_phase() {
-  if (step_dense_) {
-    const NodeId nodes = topo_->num_nodes();
-    for (NodeId node = 0; node < nodes; ++node) deliver_node(node);
-  } else {
-    for (std::int32_t node = eject_active_.first(); node != -1;
-         node = eject_active_.next_after(node)) {
-      deliver_node(node);
-    }
-  }
-}
-
-void Network::deliver_node(NodeId node) {
-  PhysChannel& pc = phys_[static_cast<std::size_t>(ejection_channel(node))];
-  for (int j = 0; j < pc.num_vcs; ++j) {
-    const int idx = (pc.rr_cursor + j) % pc.num_vcs;
-    VcState& w = vcs_[static_cast<std::size_t>(pc.first_vc + idx)];
-    if (w.buffer.empty() || w.buffer.front().arrived >= now_) continue;
-    const Flit flit = w.buffer.pop();
-    wake_channel(pc.id);  // freed buffer space: the ejector can pull again
-    Message& msg = messages_[static_cast<std::size_t>(flit.message)];
-    ++msg.flits_delivered;
-    ++counters_.flits_delivered;
-    if (hooks_.tracer != nullptr) {
-      trace(TraceEventKind::FlitDelivered, msg.id, w.id, kInvalidVc, flit.seq);
-    }
-    if (flit.is_tail_of(msg.length)) complete_delivery(msg, w);
-    pc.rr_cursor = (idx + 1) % pc.num_vcs;
-    break;  // one flit per reception channel per cycle
-  }
-  // Stay scheduled while any flit is buffered (it may merely be too young
-  // to deliver this cycle); deschedule once the ejection VCs drain.
-  for (int i = 0; i < pc.num_vcs; ++i) {
-    if (!vcs_[static_cast<std::size_t>(pc.first_vc + i)].buffer.empty()) return;
-  }
-  eject_active_.erase(node);
 }
 
 void Network::complete_delivery(Message& msg, VcState& eject_vc) {
@@ -377,182 +266,6 @@ void Network::deactivate(Message& msg) {
   active_pos_[static_cast<std::size_t>(msg.id)] = -1;
 }
 
-void Network::route_phase() {
-  blocked_count_ = 0;
-
-  // Grant injection VCs to source-queue heads. src_active_ is exactly the
-  // nodes with a non-empty queue, so the event path visits the same nodes
-  // the dense path's emptiness check admits.
-  if (step_dense_) {
-    const NodeId nodes = topo_->num_nodes();
-    for (NodeId node = 0; node < nodes; ++node) route_node_grants(node);
-  } else {
-    for (std::int32_t node = src_active_.first(); node != -1;
-         node = src_active_.next_after(node)) {
-      route_node_grants(node);
-    }
-  }
-
-  // Retry every unrouted header (fair rotation across cycles).
-  scratch_pending_.clear();
-  const std::size_t count = pending_.size();
-  const std::size_t offset =
-      count == 0 ? 0 : static_cast<std::size_t>(now_) % count;
-  for (std::size_t i = 0; i < count; ++i) {
-    const VcId head_vc = pending_[(offset + i) % count];
-    if (!try_route_header(head_vc)) {
-      scratch_pending_.push_back(head_vc);
-      ++blocked_count_;
-    }
-  }
-  pending_.swap(scratch_pending_);
-}
-
-void Network::route_node_grants(NodeId node) {
-  const auto& queue = source_queues_[static_cast<std::size_t>(node)];
-  if (queue.empty()) return;
-  try_injection_grants(node);
-  if (queue.empty()) {
-    src_active_.erase(node);
-  } else if (hooks_.heatmap != nullptr) {
-    // A still-waiting head after the grant pass is an injection stall.
-    hooks_.heatmap->on_injection_stall(node);
-  }
-}
-
-void Network::try_injection_grants(NodeId node) {
-  auto& queue = source_queues_[static_cast<std::size_t>(node)];
-  const PhysChannel& pc =
-      phys_[static_cast<std::size_t>(injection_channel(node))];
-  for (int i = 0; i < pc.num_vcs && !queue.empty(); ++i) {
-    VcState& vc = vcs_[static_cast<std::size_t>(pc.first_vc + i)];
-    if (!vc.is_free()) continue;
-    Message& msg = messages_[static_cast<std::size_t>(queue.front())];
-    queue.pop_front();
-    vc.owner = msg.id;
-    vc.route_in = kInvalidVc;  // fed directly by the source
-    msg.held.push_back(vc.id);
-    ++arc_epoch_;  // a new ownership chain enters the CWG
-    msg.status = MessageStatus::InFlight;
-    msg.injected = now_;
-    active_pos_[static_cast<std::size_t>(msg.id)] =
-        static_cast<std::int32_t>(active_.size());
-    active_.push_back(msg.id);
-    ++counters_.injected;
-    wake_channel(pc.id);  // the injection channel now has source flits to push
-    if (hooks_.tracer != nullptr) {
-      trace(TraceEventKind::VcAllocated, msg.id, vc.id);
-      trace(TraceEventKind::MessageInjected, msg.id, vc.id, kInvalidVc,
-            static_cast<std::int32_t>(class_index(msg.cls)));
-    }
-  }
-}
-
-bool Network::try_route_header(VcId head_vc) {
-  VcState& v = vcs_[static_cast<std::size_t>(head_vc)];
-  assert(v.owner != kInvalidMessage && v.route_out == kInvalidVc);
-  assert(!v.buffer.empty() && v.buffer.front().is_head());
-  Message& msg = messages_[static_cast<std::size_t>(v.owner)];
-  const NodeId here = phys(v.channel).dst;
-
-  scratch_channels_.clear();
-  const bool ejecting = (here == msg.dst);
-  if (ejecting) {
-    scratch_channels_.push_back(ejection_channel(here));
-  } else {
-    routing_->candidate_channels(*this, msg, here, v.id, scratch_channels_);
-    assert(!scratch_channels_.empty());
-    selection_->order(*this, msg, v.id, scratch_channels_, rng_);
-  }
-
-  scratch_vcs_.clear();
-  const bool high_first = routing_->prefer_high_vc_indices();
-  for (const ChannelId ch : scratch_channels_) {
-    const PhysChannel& pc = phys(ch);
-    for (int j = 0; j < pc.num_vcs; ++j) {
-      const int idx = high_first ? pc.num_vcs - 1 - j : j;
-      if (pc.kind == ChannelKind::Network &&
-          !routing_->vc_allowed(*this, msg, ch, idx, v.id)) {
-        continue;
-      }
-      scratch_vcs_.push_back(pc.first_vc + idx);
-    }
-  }
-  assert(!scratch_vcs_.empty());
-
-  for (const VcId candidate : scratch_vcs_) {
-    VcState& w = vcs_[static_cast<std::size_t>(candidate)];
-    if (w.is_free()) {
-      acquire_vc(msg, v, w);
-      return true;
-    }
-  }
-
-  const bool newly_blocked = !msg.blocked;
-  // Dashed arcs change only when the message first blocks or its recomputed
-  // candidate set differs from last cycle's (a stable blocked header re-fails
-  // with the same request set and leaves the CWG untouched).
-  if (newly_blocked || msg.request_set != scratch_vcs_) ++arc_epoch_;
-  if (newly_blocked) {
-    msg.blocked = true;
-    msg.blocked_since = now_;
-  }
-  if (hooks_.tracer != nullptr) {
-    scratch_old_requests_.assign(msg.request_set.begin(), msg.request_set.end());
-    msg.request_set.assign(scratch_vcs_.begin(), scratch_vcs_.end());
-    if (newly_blocked) {
-      trace(TraceEventKind::MessageBlocked, msg.id, head_vc, kInvalidVc,
-            static_cast<std::int32_t>(msg.request_set.size()));
-    }
-    trace_request_set_change(msg, head_vc);
-  } else {
-    msg.request_set.assign(scratch_vcs_.begin(), scratch_vcs_.end());
-  }
-  return false;
-}
-
-void Network::acquire_vc(Message& msg, VcState& from, VcState& target) {
-  assert(target.is_free() && target.buffer.empty());
-  assert(!phys(target.channel).faulted);
-  if (hooks_.tracer != nullptr) {
-    for (const VcId want : msg.request_set) {
-      trace(TraceEventKind::CwgArcRemoved, msg.id, want, from.id);
-    }
-    trace(TraceEventKind::VcAllocated, msg.id, target.id, from.id);
-    if (msg.blocked) {
-      trace(TraceEventKind::MessageUnblocked, msg.id, target.id, from.id,
-            static_cast<std::int32_t>(now_ - msg.blocked_since));
-    }
-  }
-  target.owner = msg.id;
-  target.route_in = from.id;
-  from.route_out = target.id;
-  msg.held.push_back(target.id);
-  ++arc_epoch_;  // new solid arc; the unblocked message drops its dashed arcs
-  // The target's channel can start pulling from `from` (which holds at least
-  // the header flit that just routed).
-  wake_channel(target.channel);
-
-  const PhysChannel& pc = phys(target.channel);
-  if (pc.kind == ChannelKind::Network) {
-    ++msg.hops;
-    if (!topo_->hop_is_minimal(topo_->channel(pc.id), msg.dst)) ++msg.misroutes;
-  }
-  msg.blocked = false;
-  msg.request_set.clear();
-}
-
-void Network::transmit_phase() {
-  if (step_dense_) {
-    for (PhysChannel& pc : phys_) transmit_channel(pc);
-  } else {
-    for (std::int32_t ch = chan_active_.first(); ch != -1;
-         ch = chan_active_.next_after(ch)) {
-      transmit_channel(phys_[static_cast<std::size_t>(ch)]);
-    }
-  }
-}
-
 bool Network::transmit_work_possible(const PhysChannel& pc) const {
   if (pc.kind == ChannelKind::Injection) {
     for (int i = 0; i < pc.num_vcs; ++i) {
@@ -571,87 +284,6 @@ bool Network::transmit_work_possible(const PhysChannel& pc) const {
     if (!vcs_[static_cast<std::size_t>(w.route_in)].buffer.empty()) return true;
   }
   return false;
-}
-
-void Network::transmit_channel(PhysChannel& pc) {
-  bool moved = false;
-  if (pc.kind == ChannelKind::Injection) {
-    for (int j = 0; j < pc.num_vcs; ++j) {
-      int idx = pc.rr_cursor + j;
-      if (idx >= pc.num_vcs) idx -= pc.num_vcs;
-      VcState& w = vcs_[static_cast<std::size_t>(pc.first_vc + idx)];
-      if (w.is_free() || w.buffer.full()) continue;
-      // w.buffer.full() checked above; also need unsent flits.
-      Message& msg = messages_[static_cast<std::size_t>(w.owner)];
-      if (msg.flits_sent >= msg.length) continue;
-      Flit flit;
-      flit.message = msg.id;
-      flit.seq = msg.flits_sent++;
-      flit.arrived = now_;
-      w.buffer.push(flit);
-      if (flit.is_head()) pending_.push_back(w.id);
-      if (w.route_out != kInvalidVc) {
-        // A routed head is already downstream; feed its channel.
-        wake_channel(vcs_[static_cast<std::size_t>(w.route_out)].channel);
-      }
-      if (hooks_.heatmap != nullptr) hooks_.heatmap->on_traversal(pc.id, w.id);
-      if (hooks_.tracer != nullptr) {
-        trace(TraceEventKind::FlitInjected, msg.id, w.id, kInvalidVc,
-              flit.seq);
-      }
-      pc.rr_cursor = idx + 1 == pc.num_vcs ? 0 : idx + 1;
-      moved = true;
-      break;
-    }
-    // A channel that just moved a flit stays scheduled (it is revisited and
-    // re-checked next cycle anyway); only a fruitless visit pays the full
-    // work scan to decide whether to deschedule.
-    if (!moved && !transmit_work_possible(pc)) chan_active_.erase(pc.id);
-    return;
-  }
-
-  // Network and ejection channels pull from the feeding upstream VC.
-  for (int j = 0; j < pc.num_vcs; ++j) {
-    int idx = pc.rr_cursor + j;
-    if (idx >= pc.num_vcs) idx -= pc.num_vcs;
-    VcState& w = vcs_[static_cast<std::size_t>(pc.first_vc + idx)];
-    if (w.is_free() || w.route_in == kInvalidVc || w.buffer.full()) continue;
-    VcState& u = vcs_[static_cast<std::size_t>(w.route_in)];
-    if (u.buffer.empty() || u.buffer.front().arrived >= now_) continue;
-    Flit flit = u.buffer.pop();
-    assert(flit.message == w.owner);
-    wake_channel(u.channel);  // freed buffer space upstream
-    Message& msg = messages_[static_cast<std::size_t>(flit.message)];
-    const bool tail_left_upstream = flit.is_tail_of(msg.length);
-    if (tail_left_upstream) {
-      assert(!msg.held.empty() && msg.held.front() == u.id);
-      msg.held.erase(msg.held.begin());
-      u.release();
-      w.route_in = kInvalidVc;  // no further flits arrive from upstream
-      ++arc_epoch_;  // oldest solid arc retired, VC ownership vacated
-    }
-    flit.arrived = now_;
-    w.buffer.push(flit);
-    if (pc.kind == ChannelKind::Ejection) {
-      eject_active_.insert(pc.dst);  // the reception interface has work
-    } else if (w.route_out != kInvalidVc) {
-      wake_channel(vcs_[static_cast<std::size_t>(w.route_out)].channel);
-    }
-    if (hooks_.heatmap != nullptr) hooks_.heatmap->on_traversal(pc.id, w.id);
-    if (hooks_.tracer != nullptr) {
-      trace(TraceEventKind::FlitHopped, msg.id, w.id, u.id, flit.seq);
-      if (tail_left_upstream) {
-        trace(TraceEventKind::VcFreed, msg.id, u.id);
-      }
-    }
-    if (flit.is_head() && pc.kind != ChannelKind::Ejection) {
-      pending_.push_back(w.id);
-    }
-    pc.rr_cursor = idx + 1 == pc.num_vcs ? 0 : idx + 1;
-    moved = true;
-    break;  // one flit per physical channel per cycle
-  }
-  if (!moved && !transmit_work_possible(pc)) chan_active_.erase(pc.id);
 }
 
 void Network::remove_message(MessageId id) {
@@ -678,7 +310,7 @@ void Network::remove_message(MessageId id) {
     // another message claims the slot: recovery happens between steps, and a
     // wedged (descheduled) channel must not stay silent while survivors
     // drain through it.
-    sched_wake_channel(vc.channel);
+    channel_ctx(vc.channel).chan_active.insert(vc.channel);
     vc.buffer.clear();
     vc.release();
   }
@@ -776,57 +408,53 @@ void Network::check_invariants() const {
   }
 
   // Active-set coverage: the event-driven core must never deschedule a
-  // component that still has work. src_active_ is exact; the other two are
+  // component that still has work. src_active is exact; the other two are
   // supersets (stale entries self-erase on their next visit).
   const NodeId nodes = topo_->num_nodes();
   for (NodeId node = 0; node < nodes; ++node) {
     if (!source_queues_[static_cast<std::size_t>(node)].empty() !=
-        src_scheduled(node)) {
+        node_ctx(node).src_active.contains(node)) {
       invariant_failure("source active set out of sync with queue state");
     }
     const PhysChannel& ej =
         phys_[static_cast<std::size_t>(ejection_channel(node))];
     for (int i = 0; i < ej.num_vcs; ++i) {
       if (!vcs_[static_cast<std::size_t>(ej.first_vc + i)].buffer.empty() &&
-          !eject_scheduled(node)) {
+          !node_ctx(node).eject_active.contains(node)) {
         invariant_failure("buffered ejection flit on a descheduled node");
       }
     }
   }
   for (const PhysChannel& pc : phys_) {
-    if (transmit_work_possible(pc) && !channel_scheduled(pc.id)) {
+    if (transmit_work_possible(pc) &&
+        !channel_ctx(pc.id).chan_active.contains(pc.id)) {
       invariant_failure("transmittable work on a descheduled channel");
     }
   }
-  if (sharded_) {
-    // Per-shard sets must hold only components the shard owns.
-    for (const ShardCtx& ctx : shard_ctx_) {
-      for (std::int32_t n = ctx.src_active.first(); n != -1;
-           n = ctx.src_active.next_after(n)) {
-        if (shard_of_node(n) != ctx.shard) {
-          invariant_failure("source node scheduled on a foreign shard");
-        }
+  // Per-shard sets must hold only components the shard owns.
+  for (const ShardCtx& ctx : shard_ctx_) {
+    for (std::int32_t n = ctx.src_active.first(); n != -1;
+         n = ctx.src_active.next_after(n)) {
+      if (shard_of_node(n) != ctx.shard) {
+        invariant_failure("source node scheduled on a foreign shard");
       }
-      for (std::int32_t n = ctx.eject_active.first(); n != -1;
-           n = ctx.eject_active.next_after(n)) {
-        if (shard_of_node(n) != ctx.shard) {
-          invariant_failure("ejection node scheduled on a foreign shard");
-        }
+    }
+    for (std::int32_t n = ctx.eject_active.first(); n != -1;
+         n = ctx.eject_active.next_after(n)) {
+      if (shard_of_node(n) != ctx.shard) {
+        invariant_failure("ejection node scheduled on a foreign shard");
       }
-      for (std::int32_t ch = ctx.chan_active.first(); ch != -1;
-           ch = ctx.chan_active.next_after(ch)) {
-        if (shard_of_channel(ch) != ctx.shard) {
-          invariant_failure("channel scheduled on a foreign shard");
-        }
+    }
+    for (std::int32_t ch = ctx.chan_active.first(); ch != -1;
+         ch = ctx.chan_active.next_after(ch)) {
+      if (shard_of_channel(ch) != ctx.shard) {
+        invariant_failure("channel scheduled on a foreign shard");
       }
     }
   }
 }
 
 void Network::rebuild_active_sets() {
-  src_active_.clear();
-  eject_active_.clear();
-  chan_active_.clear();
   for (ShardCtx& ctx : shard_ctx_) {
     ctx.src_active.clear();
     ctx.eject_active.clear();
@@ -835,19 +463,19 @@ void Network::rebuild_active_sets() {
   const NodeId nodes = topo_->num_nodes();
   for (NodeId node = 0; node < nodes; ++node) {
     if (!source_queues_[static_cast<std::size_t>(node)].empty()) {
-      sched_insert_src(node);
+      node_ctx(node).src_active.insert(node);
     }
     const PhysChannel& ej =
         phys_[static_cast<std::size_t>(ejection_channel(node))];
     for (int i = 0; i < ej.num_vcs; ++i) {
       if (!vcs_[static_cast<std::size_t>(ej.first_vc + i)].buffer.empty()) {
-        sched_insert_eject(node);
+        node_ctx(node).eject_active.insert(node);
         break;
       }
     }
   }
   for (const PhysChannel& pc : phys_) {
-    if (transmit_work_possible(pc)) sched_wake_channel(pc.id);
+    if (transmit_work_possible(pc)) channel_ctx(pc.id).chan_active.insert(pc.id);
   }
 }
 
@@ -895,7 +523,6 @@ void Network::save_state(BinWriter& out) const {
   out.i32(blocked_count_);
   out.i32(faulted_);
   save_counters(out, counters_);
-  save_rng(out, rng_);
 
   out.u64(phys_.size());
   for (const PhysChannel& pc : phys_) {
@@ -949,7 +576,10 @@ void Network::restore_state(BinReader& in, std::uint32_t version) {
   blocked_count_ = in.i32();
   faulted_ = in.i32();
   restore_counters(in, counters_, version);
-  restore_rng(in, rng_);
+  // v1-v3 carry a shared selection RNG (state, increment, draw count).
+  // Selection now draws from a per-(message, cycle) stream, so there is no
+  // generator to restore and the position is dropped.
+  if (version < 4) in.skip(3 * sizeof(std::uint64_t));
 
   if (in.u64() != phys_.size()) snapshot_mismatch("physical channel count");
   for (PhysChannel& pc : phys_) {

@@ -9,8 +9,12 @@
 //                 its request set (the CWG's dashed arcs).
 //   3. transmit — every physical channel moves at most one flit from the
 //                 feeding VC into the owned downstream VC (or from the source
-//                 queue into an injection VC). A tail flit leaving a buffer
-//                 releases that VC in acquisition order (wormhole).
+//                 queue into an injection VC), deciding against cycle-start
+//                 buffer occupancy. A tail flit leaving a buffer releases
+//                 that VC in acquisition order (wormhole).
+//
+// Each phase is computed per shard and committed in canonical component
+// order (src/sim/network_sharded.cpp), so every shard count steps alike.
 //
 // Virtual cut-through behavior emerges when buffer_depth >= message_length.
 // The class performs no deadlock handling itself: detection and recovery
@@ -32,7 +36,6 @@
 #include "topo/partition.hpp"
 #include "topo/topology.hpp"
 #include "trace/trace.hpp"
-#include "util/rng.hpp"
 
 namespace flexnet {
 
@@ -154,11 +157,10 @@ class Network {
   /// request-set changes (dashed arcs), message completion/removal, and
   /// snapshot restore. Equal epochs across two instants guarantee an
   /// identical CWG, which lets the deadlock detector skip or reuse a pass.
-  /// Under sharded stepping the counter is composed: a base term (main-thread
-  /// events) plus one monotonic term per shard, so workers bump their own
-  /// term without synchronization and the sum keeps the equal-epochs
-  /// guarantee (every term is non-decreasing, so sums collide only when no
-  /// term moved).
+  /// The counter is composed: a base term (main-thread events) plus one
+  /// monotonic term per shard, so workers bump their own term without
+  /// synchronization and the sum keeps the equal-epochs guarantee (every
+  /// term is non-decreasing, so sums collide only when no term moved).
   [[nodiscard]] std::uint64_t arc_epoch() const noexcept {
     std::uint64_t epoch = arc_epoch_;
     for (const ShardCtx& ctx : shard_ctx_) epoch += ctx.epoch;
@@ -180,55 +182,43 @@ class Network {
   void install_hooks(const NetworkHooks& hooks) noexcept { hooks_ = hooks; }
   [[nodiscard]] const NetworkHooks& hooks() const noexcept { return hooks_; }
 
-  /// Selects the dense per-cycle sweep (every node and channel visited every
-  /// cycle) instead of the default event-driven active-set core. The dense
-  /// loop is the lockstep oracle — both paths produce byte-identical state,
-  /// traces, and counters (tests/test_step_equivalence.cpp) — kept behind
-  /// --step-dense the same way --detector-full-rebuild keeps the detection
-  /// oracle. Safe to flip between steps: the active sets are maintained in
-  /// both modes.
+  /// Selects the dense sweep: before each step every shard's active sets are
+  /// filled with every id the shard owns, so each phase visits every node and
+  /// channel instead of only the scheduled ones. The dense run is the
+  /// lockstep oracle for the event-driven scheduler — both produce byte-
+  /// identical state, traces and counters (tests/test_step_equivalence.cpp),
+  /// and a missed wakeup shows up as a divergence — kept behind --step-dense
+  /// the same way --detector-full-rebuild keeps the detection oracle.
+  /// Composes with any shard count; safe to flip between steps.
   void set_step_dense(bool dense) noexcept { step_dense_ = dense; }
   [[nodiscard]] bool step_dense() const noexcept { return step_dense_; }
 
-  /// Selects the sharded parallel stepping engine with `shards` spatial
-  /// domains (>= 1; one worker thread per shard, the caller participating),
-  /// or restores the serial engine with 0. Safe to flip between steps.
-  ///
-  /// The sharded engine is deterministic in the strong sense the serial
-  /// engine pairs are: every shard count from 1 upward produces byte-
-  /// identical state, traces, counters and snapshots. It is NOT byte-
-  /// identical to the serial engine — transmit grants buffer space against
-  /// cycle-start occupancy (a one-cycle credit-return delay instead of the
-  /// serial sweep's same-cycle compaction chaining) and adaptive selection
-  /// draws from a per-(message, cycle) hash stream instead of the shared
-  /// serial RNG — so the serial path remains the semantics oracle and the
-  /// 1-shard run is the byte-equality oracle for N shards (DESIGN.md §3j).
-  /// Throws std::invalid_argument for shards > nodes and when the dense
-  /// sweep is active (the oracles compose with the event core, not with
-  /// each other).
+  /// Splits the network into `shards` spatial domains (DESIGN.md §3h), one
+  /// worker per shard with the caller's thread running shard 0, so a single
+  /// shard runs inline without threads. A fresh network has one shard. Safe
+  /// to call between steps. Every shard count produces byte-identical state,
+  /// traces, counters and snapshots. Throws std::invalid_argument for
+  /// shards < 1 and shards > nodes.
   void set_shards(int shards);
-  /// Configured shard count; 0 when the serial engine is active.
+  /// Configured shard count (>= 1).
   [[nodiscard]] int shards() const noexcept {
-    return sharded_ ? static_cast<int>(shard_ctx_.size()) : 0;
+    return static_cast<int>(shard_ctx_.size());
   }
 
   /// Scheduler introspection: how many components the event-driven core will
-  /// visit next cycle. All zero on an idle network. Sharded mode sums the
-  /// per-shard sets (they partition the components, so counts compose).
+  /// visit next cycle, summed over the per-shard sets (they partition the
+  /// components, so counts compose). All zero on an idle network.
   [[nodiscard]] std::size_t active_source_nodes() const noexcept {
-    if (!sharded_) return src_active_.count();
     std::size_t n = 0;
     for (const ShardCtx& ctx : shard_ctx_) n += ctx.src_active.count();
     return n;
   }
   [[nodiscard]] std::size_t active_eject_nodes() const noexcept {
-    if (!sharded_) return eject_active_.count();
     std::size_t n = 0;
     for (const ShardCtx& ctx : shard_ctx_) n += ctx.eject_active.count();
     return n;
   }
   [[nodiscard]] std::size_t active_channels() const noexcept {
-    if (!sharded_) return chan_active_.count();
     std::size_t n = 0;
     for (const ShardCtx& ctx : shard_ctx_) n += ctx.chan_active.count();
     return n;
@@ -253,9 +243,9 @@ class Network {
 
   // --- snapshot hooks ------------------------------------------------------
   /// Serializes every bit of dynamic state that influences future evolution:
-  /// cycle counter, RNG position, counters, per-channel arbitration cursors
-  /// and fault flags, every VC (ownership, routing linkage, buffered flits),
-  /// the full message table, source queues, active list and the pending-header
+  /// cycle counter, counters, per-channel arbitration cursors and fault
+  /// flags, every VC (ownership, routing linkage, buffered flits), the full
+  /// message table, source queues, active list and the pending-header
   /// rotation order. save_state → restore_state on a Network built from the
   /// same SimConfig is byte-exact: stepping both produces identical flits.
   void save_state(BinWriter& out) const;
@@ -263,7 +253,8 @@ class Network {
   /// constructed from the same SimConfig (same topology/VC shape); throws
   /// std::runtime_error on any structural mismatch or corrupt encoding.
   /// `version` is the snapshot container version the payload was written
-  /// under; pre-v3 payloads carry no message classes (all restore as Bulk).
+  /// under; pre-v3 payloads carry no message classes (all restore as Bulk)
+  /// and pre-v4 payloads carry a selection-RNG position, read and dropped.
   void restore_state(BinReader& in,
                      std::uint32_t version = kStateFormatVersion);
 
@@ -275,84 +266,72 @@ class Network {
  private:
   void inject_link_faults();
   [[nodiscard]] bool network_strongly_connected() const;
-  void deliver_phase();
-  void route_phase();
-  void transmit_phase();
-
-  // Per-component workers shared by the dense and event-driven sweeps (the
-  // two paths differ only in which components they enumerate). Each worker
-  // also maintains the active sets, so dense-mode runs keep them valid and
-  // the step mode can be flipped at any cycle boundary.
-  void deliver_node(NodeId node);
-  void route_node_grants(NodeId node);
-  void transmit_channel(PhysChannel& pc);
-  /// Superset condition keeping a channel in chan_active_: some owned VC
-  /// could move a flit now or next cycle (flit age is deliberately ignored —
-  /// a flit that arrived this cycle becomes movable on the next one).
+  /// Superset condition keeping a channel scheduled: some owned VC could
+  /// move a flit now or next cycle (flit age is deliberately ignored — a
+  /// flit that arrived this cycle becomes movable on the next one).
   [[nodiscard]] bool transmit_work_possible(const PhysChannel& pc) const;
-  /// Schedules a physical channel's wakeup (idempotent). Serial engine only;
-  /// sharded workers insert into their own ShardCtx (or its wake outbox).
-  void wake_channel(ChannelId ch) noexcept { chan_active_.insert(ch); }
-  /// Recomputes all three active sets from current state (constructor and
-  /// snapshot restore; the sets are never serialized). Fills the per-shard
-  /// slices instead when the sharded engine is active.
+  /// Recomputes every shard's active sets from current state (set_shards and
+  /// snapshot restore; the sets are never serialized).
   void rebuild_active_sets();
 
-  // --- sharded engine (src/sim/network_sharded.cpp, DESIGN.md §3j) ---------
-  // Scheduler routing for main-thread mutations (enqueue_message,
-  // remove_message, restore_state) that must land in the right shard's sets.
-  void sched_insert_src(NodeId node);
-  void sched_insert_eject(NodeId node);
-  void sched_wake_channel(ChannelId ch);
-  // Shard-aware active-set membership (invariant checks, cold paths).
-  [[nodiscard]] bool src_scheduled(NodeId node) const;
-  [[nodiscard]] bool eject_scheduled(NodeId node) const;
-  [[nodiscard]] bool channel_scheduled(ChannelId ch) const;
+  // --- step engine (src/sim/network_sharded.cpp, DESIGN.md §3h) ------------
   [[nodiscard]] std::int32_t shard_of_node(NodeId node) const noexcept {
     return shard_plan_.node_shard[static_cast<std::size_t>(node)];
   }
   [[nodiscard]] std::int32_t shard_of_channel(ChannelId ch) const noexcept {
     return shard_chan_[static_cast<std::size_t>(ch)];
   }
+  // The shard whose active sets schedule a component. Main-thread mutations
+  // (enqueue_message, remove_message, restore, dense mode, commits) insert
+  // through these; workers insert into their own ShardCtx directly.
+  ShardCtx& node_ctx(NodeId node) {
+    return shard_ctx_[static_cast<std::size_t>(shard_of_node(node))];
+  }
+  [[nodiscard]] const ShardCtx& node_ctx(NodeId node) const {
+    return shard_ctx_[static_cast<std::size_t>(shard_of_node(node))];
+  }
+  ShardCtx& channel_ctx(ChannelId ch) {
+    return shard_ctx_[static_cast<std::size_t>(shard_of_channel(ch))];
+  }
+  [[nodiscard]] const ShardCtx& channel_ctx(ChannelId ch) const {
+    return shard_ctx_[static_cast<std::size_t>(shard_of_channel(ch))];
+  }
+  /// Dense mode: schedules every node and channel in its owning shard.
+  void schedule_all();
 
-  void step_sharded();
-  void deliver_phase_sharded();
+  void deliver_phase();
   void deliver_shard(ShardCtx& ctx);
   void commit_deliver();
-  void route_phase_sharded();
+  void route_phase();
   void route_shard(ShardCtx& ctx);
-  void route_grants_sharded(NodeId node, ShardCtx& ctx);
-  bool try_route_header_sharded(VcId head_vc, std::uint32_t scan_index,
-                                ShardCtx& ctx);
-  void acquire_vc_sharded(Message& msg, VcState& from, VcState& target,
-                          std::uint64_t trace_key, ShardCtx& ctx);
+  void grant_injection_vcs(NodeId node, ShardCtx& ctx);
+  /// Attempts allocation for the unrouted header in `head_vc`; returns true
+  /// on success. `scan_index` is its position in this cycle's rotated scan.
+  bool route_header(VcId head_vc, std::uint32_t scan_index, ShardCtx& ctx);
+  void claim_vc(Message& msg, VcState& from, VcState& target,
+                std::uint64_t trace_key, ShardCtx& ctx);
   void commit_route();
-  void transmit_phase_sharded();
+  void transmit_phase();
   void transmit_decide_shard(ShardCtx& ctx);
   void transmit_pop_shard(ShardCtx& ctx);
   void transmit_push_shard(ShardCtx& ctx);
   void commit_transmit();
-  /// Buffers a trace event (no-op without a tracer); emitted at phase commit
-  /// in ascending key order.
-  void trace_sharded(ShardCtx& ctx, std::uint64_t key, TraceEventKind kind,
-                     MessageId msg, VcId vc, VcId vc2 = kInvalidVc,
-                     std::int32_t arg = 0, NodeId node = kInvalidNode);
+  /// Buffers a worker's trace event (no-op without a tracer); emitted at
+  /// phase commit in ascending key order.
+  void buffer_trace(ShardCtx& ctx, std::uint64_t key, TraceEventKind kind,
+                    MessageId msg, VcId vc, VcId vc2 = kInvalidVc,
+                    std::int32_t arg = 0, NodeId node = kInvalidNode);
   /// Emits each shard's key-sorted trace buffer in one globally ascending
   /// k-way merge, then clears the buffers.
-  void flush_sharded_traces();
+  void flush_traces();
 
-  /// Emits a trace event when a tracer is attached. `vc`'s downstream router
-  /// is the event's location unless `node` overrides it.
+  /// Emits a trace event from the main thread when a tracer is attached.
+  /// `vc`'s downstream router is the event's location unless `node`
+  /// overrides it.
   void trace(TraceEventKind kind, MessageId msg, VcId vc,
              VcId vc2 = kInvalidVc, std::int32_t arg = 0,
              NodeId node = kInvalidNode);
-  void trace_request_set_change(const Message& msg, VcId head_vc);
 
-  void try_injection_grants(NodeId node);
-  /// Attempts allocation for the unrouted header in `head_vc`; returns true
-  /// on success.
-  bool try_route_header(VcId head_vc);
-  void acquire_vc(Message& msg, VcState& from, VcState& target);
   void complete_delivery(Message& msg, VcState& eject_vc);
   void deactivate(Message& msg);
 
@@ -360,7 +339,6 @@ class Network {
   std::shared_ptr<const Topology> topo_;
   std::unique_ptr<RoutingAlgorithm> routing_;
   std::unique_ptr<SelectionPolicy> selection_;
-  Pcg32 rng_;
 
   std::vector<PhysChannel> phys_;  // network channels, then injection, then ejection
   std::vector<VcState> vcs_;
@@ -381,24 +359,13 @@ class Network {
   NetworkHooks hooks_;
   bool step_dense_ = false;
 
-  // Event-driven scheduling state (never serialized; rebuilt on restore).
-  // Invariants, maintained in both step modes:
-  //   src_active_   == nodes with a non-empty source queue (exact);
-  //   eject_active_ ⊇ nodes with any buffered flit in an ejection VC;
-  //   chan_active_  ⊇ channels with transmit_work_possible().
-  ActiveSet src_active_;
-  ActiveSet eject_active_;
-  ActiveSet chan_active_;
-
-  // scratch buffers reused across cycles to avoid per-cycle allocation
-  std::vector<ChannelId> scratch_channels_;
-  std::vector<VcId> scratch_vcs_;
+  // Step-engine state. The per-shard active sets are the event-driven
+  // scheduler (never serialized; rebuilt on restore). Invariants:
+  //   src_active   == nodes with a non-empty source queue (exact);
+  //   eject_active ⊇ nodes with any buffered flit in an ejection VC;
+  //   chan_active  ⊇ channels with transmit_work_possible();
+  // each shard's sets hold only the components it owns.
   std::vector<VcId> scratch_pending_;
-  std::vector<VcId> scratch_old_requests_;  // tracing only
-
-  // Sharded engine state (set_shards; absent cost is one predictable branch
-  // in step() and nothing on the serial phase workers).
-  bool sharded_ = false;
   ShardPlan shard_plan_;
   std::vector<std::int32_t> shard_chan_;  // channel id -> owning shard
   std::vector<ShardCtx> shard_ctx_;

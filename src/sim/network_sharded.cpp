@@ -1,54 +1,84 @@
-// The sharded parallel stepping engine (DESIGN.md §3j).
+// The step engine (DESIGN.md §3h).
 //
-// Network::step_sharded() runs each phase as a fleet of per-shard workers
-// over the per-shard active sets, separated by pool barriers, with every
-// ordered side effect buffered in the worker's ShardCtx and folded into
-// global state by a single-threaded commit in canonical component order.
-// The result is byte-identical across ALL shard counts: the 1-shard run is
-// the oracle and `--shards 8` must reproduce it bit for bit (state, traces,
-// counters, snapshots, telemetry, metrics streams).
+// Network::step() runs each phase as a fleet of per-shard workers over the
+// per-shard active sets, separated by pool barriers, with every ordered side
+// effect buffered in the worker's ShardCtx and folded into global state by a
+// single-threaded commit in canonical component order. A fresh network has
+// one shard, whose worker runs inline on the caller's thread; the result is
+// byte-identical across ALL shard counts (state, traces, counters,
+// snapshots, telemetry, metrics streams).
 //
 // Ownership discipline (the whole correctness argument, verified by TSan):
 //  * a shard owns its nodes' queues/ejection interfaces and every physical
 //    channel whose SOURCE router it owns, VCs included;
 //  * deliver and route touch only owned state — routing candidates are
 //    channels out of the header's current router, which the router's shard
-//    owns (the one cross-shard write, `from.route_out` in acquire, targets
+//    owns (the one cross-shard write, `from.route_out` in claim_vc, targets
 //    the header's own VC, which no other shard touches this phase);
 //  * transmit is split decide/pop/push: T1 is read-only against cycle-start
 //    state, T2 performs the pops (each VC has a unique downstream mover),
 //    T3 performs the pushes (each VC is pushed only by its own channel), so
 //    no FlitFifo is ever touched by two threads in the same sub-phase.
 //
-// Two semantic deltas vs the serial engine, both deliberate and documented:
-// transmit decisions read cycle-start buffer occupancy (a one-cycle
-// credit-return delay instead of the serial sweep's same-cycle compaction
-// chaining along ascending channel ids — unparallelizable without
-// serializing the sweep), and adaptive selection shuffles with a
-// per-(message, cycle) hash stream instead of the shared serial RNG (whose
-// draw order is exactly the serial visit order). Neither depends on the
-// shard count, which is what the byte-equality suite asserts.
+// Computing a phase before committing it fixes two semantic choices:
+// transmit decisions read cycle-start buffer occupancy (a slot freed this
+// cycle is granted next cycle: a one-cycle credit return), and adaptive
+// selection shuffles with a per-(message, cycle) hash stream rather than a
+// shared generator whose draw order would encode the visit order. Neither
+// depends on the shard count, which is what the byte-equality suite asserts.
 #include <algorithm>
 #include <cassert>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
-#include "obs/obs.hpp"
 #include "routing/routing.hpp"
 #include "routing/selection.hpp"
 #include "sim/network.hpp"
 #include "telemetry/heatmap.hpp"
 #include "telemetry/profiler.hpp"
 #include "util/parallel.hpp"
+#include "util/rng.hpp"
 
 namespace flexnet {
 
 namespace {
 /// Retry trace/order keys sort after every grant key (node ids < 2^31).
 constexpr std::uint64_t kRetryKeyBase = 1ull << 32;
+
+/// Visits the items of every shard's buffer (`items(ctx)`) in globally
+/// ascending `key` order. Each buffer is already key-sorted and keys are
+/// unique across shards (every component or scan position belongs to one
+/// shard), so the visit order is the one a single-shard walk produces.
+template <typename Items, typename Key, typename Visit>
+void merge_shards(const std::vector<ShardCtx>& shards,
+                  std::vector<std::size_t>& cursor, Items items, Key key,
+                  Visit visit) {
+  if (shards.size() == 1) {
+    for (const auto& item : items(shards[0])) visit(item);
+    return;
+  }
+  std::fill(cursor.begin(), cursor.end(), 0);
+  for (;;) {
+    std::size_t best = shards.size();
+    std::uint64_t best_key = 0;
+    for (std::size_t s = 0; s < shards.size(); ++s) {
+      const auto& buf = items(shards[s]);
+      if (cursor[s] >= buf.size()) continue;
+      const auto k = static_cast<std::uint64_t>(key(buf[cursor[s]]));
+      if (best == shards.size() || k < best_key) {
+        best = s;
+        best_key = k;
+      }
+    }
+    if (best == shards.size()) return;
+    visit(items(shards[best])[cursor[best]++]);
+  }
+}
 }  // namespace
 
 void Network::set_shards(int shards) {
-  if (shards < 0) throw std::invalid_argument("shard count must be >= 0");
+  if (shards < 1) throw std::invalid_argument("shard count must be >= 1");
   if (shards > topo_->num_nodes()) {
     throw std::invalid_argument("shard count exceeds node count (" +
                                 std::to_string(topo_->num_nodes()) + ")");
@@ -58,15 +88,6 @@ void Network::set_shards(int shards) {
   arc_epoch_ = arc_epoch();
   shard_ctx_.clear();
   pool_.reset();
-  if (shards == 0) {
-    sharded_ = false;
-    rebuild_active_sets();
-    return;
-  }
-  if (step_dense_) {
-    throw std::invalid_argument(
-        "sharded stepping cannot combine with the dense sweep oracle");
-  }
 
   shard_plan_ = make_shard_plan(*topo_, shards);
   shard_chan_.resize(phys_.size());
@@ -84,63 +105,25 @@ void Network::set_shards(int shards) {
     ctx.src_active.reset(nodes);
     ctx.eject_active.reset(nodes);
     ctx.chan_active.reset(phys_.size());
-    ctx.epoch = 0;
-    ctx.clear_cycle_buffers();
   }
   merge_cursor_.assign(shard_ctx_.size(), 0);
   pool_ = std::make_unique<WorkerPool>(shard_ctx_.size());
-  sharded_ = true;
-  rebuild_active_sets();
+  // Without a message there is nothing to schedule (a fresh network).
+  if (!messages_.empty()) rebuild_active_sets();
 }
 
-void Network::sched_insert_src(NodeId node) {
-  if (sharded_) {
-    shard_ctx_[static_cast<std::size_t>(shard_of_node(node))].src_active.insert(
-        node);
-  } else {
-    src_active_.insert(node);
+void Network::schedule_all() {
+  const NodeId nodes = topo_->num_nodes();
+  for (NodeId node = 0; node < nodes; ++node) {
+    node_ctx(node).src_active.insert(node);
+    node_ctx(node).eject_active.insert(node);
   }
+  for (const PhysChannel& pc : phys_) channel_ctx(pc.id).chan_active.insert(pc.id);
 }
 
-void Network::sched_insert_eject(NodeId node) {
-  if (sharded_) {
-    shard_ctx_[static_cast<std::size_t>(shard_of_node(node))]
-        .eject_active.insert(node);
-  } else {
-    eject_active_.insert(node);
-  }
-}
-
-void Network::sched_wake_channel(ChannelId ch) {
-  if (sharded_) {
-    shard_ctx_[static_cast<std::size_t>(shard_of_channel(ch))]
-        .chan_active.insert(ch);
-  } else {
-    chan_active_.insert(ch);
-  }
-}
-
-bool Network::src_scheduled(NodeId node) const {
-  if (!sharded_) return src_active_.contains(node);
-  return shard_ctx_[static_cast<std::size_t>(shard_of_node(node))]
-      .src_active.contains(node);
-}
-
-bool Network::eject_scheduled(NodeId node) const {
-  if (!sharded_) return eject_active_.contains(node);
-  return shard_ctx_[static_cast<std::size_t>(shard_of_node(node))]
-      .eject_active.contains(node);
-}
-
-bool Network::channel_scheduled(ChannelId ch) const {
-  if (!sharded_) return chan_active_.contains(ch);
-  return shard_ctx_[static_cast<std::size_t>(shard_of_channel(ch))]
-      .chan_active.contains(ch);
-}
-
-void Network::trace_sharded(ShardCtx& ctx, std::uint64_t key,
-                            TraceEventKind kind, MessageId msg, VcId vc,
-                            VcId vc2, std::int32_t arg, NodeId node) {
+void Network::buffer_trace(ShardCtx& ctx, std::uint64_t key,
+                           TraceEventKind kind, MessageId msg, VcId vc,
+                           VcId vc2, std::int32_t arg, NodeId node) {
   ShardTraceRecord rec;
   rec.key = key;
   rec.event.cycle = now_;
@@ -155,58 +138,48 @@ void Network::trace_sharded(ShardCtx& ctx, std::uint64_t key,
   ctx.trace_buf.push_back(rec);
 }
 
-void Network::flush_sharded_traces() {
-  if (hooks_.tracer == nullptr) {
-    for (ShardCtx& ctx : shard_ctx_) ctx.trace_buf.clear();
-    return;
-  }
-  // K-way merge of key-sorted buffers. Keys are unique across shards within
-  // a phase segment (each component/scan position is processed by exactly
-  // one shard), so ties cannot occur.
-  std::fill(merge_cursor_.begin(), merge_cursor_.end(), 0);
-  for (;;) {
-    std::size_t best = shard_ctx_.size();
-    std::uint64_t best_key = 0;
-    for (std::size_t s = 0; s < shard_ctx_.size(); ++s) {
-      const ShardCtx& ctx = shard_ctx_[s];
-      if (merge_cursor_[s] >= ctx.trace_buf.size()) continue;
-      const std::uint64_t key = ctx.trace_buf[merge_cursor_[s]].key;
-      if (best == shard_ctx_.size() || key < best_key) {
-        best = s;
-        best_key = key;
-      }
-    }
-    if (best == shard_ctx_.size()) break;
-    hooks_.tracer->emit(shard_ctx_[best].trace_buf[merge_cursor_[best]].event);
-    ++merge_cursor_[best];
-  }
+void Network::flush_traces() {
+  if (hooks_.tracer == nullptr) return;  // nothing was buffered
+  merge_shards(
+      shard_ctx_, merge_cursor_,
+      [](const ShardCtx& ctx) -> const auto& { return ctx.trace_buf; },
+      [](const ShardTraceRecord& rec) { return rec.key; },
+      [this](const ShardTraceRecord& rec) { hooks_.tracer->emit(rec.event); });
   for (ShardCtx& ctx : shard_ctx_) ctx.trace_buf.clear();
 }
 
-void Network::step_sharded() {
+void Network::step() {
+  // Dense mode schedules everything once per step: each phase erases only
+  // from its own set, so the sets are still full when the later phases walk
+  // them.
+  if (step_dense_) schedule_all();
   if (hooks_.profiler == nullptr) {
-    deliver_phase_sharded();
-    route_phase_sharded();
-    transmit_phase_sharded();
+    deliver_phase();
+    route_phase();
+    transmit_phase();
   } else {
     {
       ScopedPhase timer(hooks_.profiler, SimPhase::Deliver);
-      deliver_phase_sharded();
+      deliver_phase();
     }
     {
       ScopedPhase timer(hooks_.profiler, SimPhase::Route);
-      route_phase_sharded();
+      route_phase();
     }
     {
       ScopedPhase timer(hooks_.profiler, SimPhase::Transmit);
-      transmit_phase_sharded();
+      transmit_phase();
     }
   }
+  ++now_;
 }
 
 // --- deliver ---------------------------------------------------------------
 
-void Network::deliver_phase_sharded() {
+// Each phase returns at once when no shard has anything scheduled, so an
+// idle cycle costs a few set-size probes, not five dispatches and commits.
+void Network::deliver_phase() {
+  if (active_eject_nodes() == 0) return;
   pool_->run([this](std::size_t s) { deliver_shard(shard_ctx_[s]); });
   commit_deliver();
 }
@@ -254,40 +227,32 @@ void Network::commit_deliver() {
   for (const ShardCtx& ctx : shard_ctx_) {
     counters_.flits_delivered += ctx.flits_delivered;
   }
-  // Merge by node id — the order the serial sweep visits reception
-  // interfaces — emitting the flit trace and running tail completions (which
-  // touch the active list, delivered counters, obs hook and base epoch) on
-  // this thread.
-  std::fill(merge_cursor_.begin(), merge_cursor_.end(), 0);
-  for (;;) {
-    std::size_t best = shard_ctx_.size();
-    NodeId best_node = kInvalidNode;
-    for (std::size_t s = 0; s < shard_ctx_.size(); ++s) {
-      const ShardCtx& ctx = shard_ctx_[s];
-      if (merge_cursor_[s] >= ctx.deliveries.size()) continue;
-      const NodeId node = ctx.deliveries[merge_cursor_[s]].node;
-      if (best == shard_ctx_.size() || node < best_node) {
-        best = s;
-        best_node = node;
-      }
-    }
-    if (best == shard_ctx_.size()) break;
-    const ShardDelivery& rec = shard_ctx_[best].deliveries[merge_cursor_[best]];
-    ++merge_cursor_[best];
-    Message& msg = messages_[static_cast<std::size_t>(rec.msg)];
-    if (hooks_.tracer != nullptr) {
-      trace(TraceEventKind::FlitDelivered, msg.id, rec.eject_vc, kInvalidVc,
-            rec.seq);
-    }
-    if (rec.tail) {
-      complete_delivery(msg, vcs_[static_cast<std::size_t>(rec.eject_vc)]);
-    }
-  }
+  // Merge by node id, emitting the flit trace and running tail completions
+  // (which touch the active list, delivered counters, obs hook and base
+  // epoch) on this thread.
+  merge_shards(
+      shard_ctx_, merge_cursor_,
+      [](const ShardCtx& ctx) -> const auto& { return ctx.deliveries; },
+      [](const ShardDelivery& rec) { return rec.node; },
+      [this](const ShardDelivery& rec) {
+        Message& msg = messages_[static_cast<std::size_t>(rec.msg)];
+        if (hooks_.tracer != nullptr) {
+          trace(TraceEventKind::FlitDelivered, msg.id, rec.eject_vc,
+                kInvalidVc, rec.seq);
+        }
+        if (rec.tail) {
+          complete_delivery(msg, vcs_[static_cast<std::size_t>(rec.eject_vc)]);
+        }
+      });
 }
 
 // --- route -----------------------------------------------------------------
 
-void Network::route_phase_sharded() {
+void Network::route_phase() {
+  if (pending_.empty() && active_source_nodes() == 0) {
+    blocked_count_ = 0;
+    return;
+  }
   pool_->run([this](std::size_t s) { route_shard(shard_ctx_[s]); });
   commit_route();
 }
@@ -296,27 +261,29 @@ void Network::route_shard(ShardCtx& ctx) {
   ctx.grants.clear();
   ctx.injected = 0;
   ctx.failures.clear();
-  ctx.trace_buf.clear();
 
-  // Injection grants for this shard's nodes (src_active is exact).
+  // Injection grants for this shard's nodes. src_active is exact except in
+  // dense mode, whose extra (empty-queue) nodes are erased by the visit.
   for (std::int32_t node = ctx.src_active.first(); node != -1;
        node = ctx.src_active.next_after(node)) {
-    route_grants_sharded(node, ctx);
+    grant_injection_vcs(node, ctx);
   }
 
   // Retry every unrouted header whose current router this shard owns,
   // walking the globally rotated order so the scan positions — the order the
   // 1-shard run processes and re-files failures — are shard-independent.
+  // A lone shard owns every header, so it skips the ownership lookup.
+  const bool foreign_possible = shard_ctx_.size() > 1;
   const std::size_t count = pending_.size();
-  const std::size_t offset =
-      count == 0 ? 0 : static_cast<std::size_t>(now_) % count;
-  for (std::size_t i = 0; i < count; ++i) {
-    const VcId head_vc = pending_[(offset + i) % count];
-    const NodeId here =
-        phys(vcs_[static_cast<std::size_t>(head_vc)].channel).dst;
-    if (shard_of_node(here) != ctx.shard) continue;
-    if (!try_route_header_sharded(head_vc, static_cast<std::uint32_t>(i),
-                                  ctx)) {
+  std::size_t at = count == 0 ? 0 : static_cast<std::size_t>(now_) % count;
+  for (std::size_t i = 0; i < count; ++i, at = at + 1 == count ? 0 : at + 1) {
+    const VcId head_vc = pending_[at];
+    if (foreign_possible &&
+        shard_of_node(phys(vcs_[static_cast<std::size_t>(head_vc)].channel)
+                          .dst) != ctx.shard) {
+      continue;
+    }
+    if (!route_header(head_vc, static_cast<std::uint32_t>(i), ctx)) {
       ShardRouteFailure failure;
       failure.scan_index = static_cast<std::uint32_t>(i);
       failure.head_vc = head_vc;
@@ -325,9 +292,8 @@ void Network::route_shard(ShardCtx& ctx) {
   }
 }
 
-void Network::route_grants_sharded(NodeId node, ShardCtx& ctx) {
+void Network::grant_injection_vcs(NodeId node, ShardCtx& ctx) {
   auto& queue = source_queues_[static_cast<std::size_t>(node)];
-  if (queue.empty()) return;
   const PhysChannel& pc =
       phys_[static_cast<std::size_t>(injection_channel(node))];
   for (int i = 0; i < pc.num_vcs && !queue.empty(); ++i) {
@@ -346,9 +312,9 @@ void Network::route_grants_sharded(NodeId node, ShardCtx& ctx) {
     ctx.chan_active.insert(pc.id);  // injection channel has source flits
     if (hooks_.tracer != nullptr) {
       const auto key = static_cast<std::uint64_t>(node);
-      trace_sharded(ctx, key, TraceEventKind::VcAllocated, msg.id, vc.id);
-      trace_sharded(ctx, key, TraceEventKind::MessageInjected, msg.id, vc.id,
-                    kInvalidVc, static_cast<std::int32_t>(class_index(msg.cls)));
+      buffer_trace(ctx, key, TraceEventKind::VcAllocated, msg.id, vc.id);
+      buffer_trace(ctx, key, TraceEventKind::MessageInjected, msg.id, vc.id,
+                   kInvalidVc, static_cast<std::int32_t>(class_index(msg.cls)));
     }
   }
   if (queue.empty()) {
@@ -360,8 +326,8 @@ void Network::route_grants_sharded(NodeId node, ShardCtx& ctx) {
   }
 }
 
-bool Network::try_route_header_sharded(VcId head_vc, std::uint32_t scan_index,
-                                       ShardCtx& ctx) {
+bool Network::route_header(VcId head_vc, std::uint32_t scan_index,
+                           ShardCtx& ctx) {
   VcState& v = vcs_[static_cast<std::size_t>(head_vc)];
   assert(v.owner != kInvalidMessage && v.route_out == kInvalidVc);
   assert(!v.buffer.empty() && v.buffer.front().is_head());
@@ -376,10 +342,8 @@ bool Network::try_route_header_sharded(VcId head_vc, std::uint32_t scan_index,
   } else {
     routing_->candidate_channels(*this, msg, here, v.id, ctx.scratch_channels);
     assert(!ctx.scratch_channels.empty());
-    // Selection draws from a per-(message, cycle) hash stream: the serial
-    // engine's shared generator encodes the serial visit order in its draw
-    // sequence, which no parallel schedule can reproduce. This stream is a
-    // pure function of (seed, message, cycle), so every shard count agrees.
+    // Selection draws from a per-(message, cycle) hash stream: a pure
+    // function of (seed, message, cycle), so every shard count agrees.
     Pcg32 rng(config_.seed ^ (0x9e3779b97f4a7c15ULL *
                               (static_cast<std::uint64_t>(msg.id) + 1)),
               static_cast<std::uint64_t>(now_));
@@ -404,7 +368,7 @@ bool Network::try_route_header_sharded(VcId head_vc, std::uint32_t scan_index,
   for (const VcId candidate : ctx.scratch_vcs) {
     VcState& w = vcs_[static_cast<std::size_t>(candidate)];
     if (w.is_free()) {
-      acquire_vc_sharded(msg, v, w, key, ctx);
+      claim_vc(msg, v, w, key, ctx);
       return true;
     }
   }
@@ -420,24 +384,25 @@ bool Network::try_route_header_sharded(VcId head_vc, std::uint32_t scan_index,
                                     msg.request_set.end());
     msg.request_set.assign(ctx.scratch_vcs.begin(), ctx.scratch_vcs.end());
     if (newly_blocked) {
-      trace_sharded(ctx, key, TraceEventKind::MessageBlocked, msg.id, head_vc,
-                    kInvalidVc,
-                    static_cast<std::int32_t>(msg.request_set.size()));
+      buffer_trace(ctx, key, TraceEventKind::MessageBlocked, msg.id, head_vc,
+                   kInvalidVc,
+                   static_cast<std::int32_t>(msg.request_set.size()));
     }
-    // Dashed-arc delta, same quadratic diff as the serial path.
+    // Dashed-arc delta. Request sets are tiny (one entry per candidate VC),
+    // so the quadratic scan is cheaper than sorting.
     for (const VcId want : msg.request_set) {
       if (std::find(ctx.scratch_old_requests.begin(),
                     ctx.scratch_old_requests.end(),
                     want) == ctx.scratch_old_requests.end()) {
-        trace_sharded(ctx, key, TraceEventKind::CwgArcAdded, msg.id, want,
-                      head_vc);
+        buffer_trace(ctx, key, TraceEventKind::CwgArcAdded, msg.id, want,
+                     head_vc);
       }
     }
     for (const VcId had : ctx.scratch_old_requests) {
       if (std::find(msg.request_set.begin(), msg.request_set.end(), had) ==
           msg.request_set.end()) {
-        trace_sharded(ctx, key, TraceEventKind::CwgArcRemoved, msg.id, had,
-                      head_vc);
+        buffer_trace(ctx, key, TraceEventKind::CwgArcRemoved, msg.id, had,
+                     head_vc);
       }
     }
   } else {
@@ -446,21 +411,21 @@ bool Network::try_route_header_sharded(VcId head_vc, std::uint32_t scan_index,
   return false;
 }
 
-void Network::acquire_vc_sharded(Message& msg, VcState& from, VcState& target,
-                                 std::uint64_t trace_key, ShardCtx& ctx) {
+void Network::claim_vc(Message& msg, VcState& from, VcState& target,
+                       std::uint64_t trace_key, ShardCtx& ctx) {
   assert(target.is_free() && target.buffer.empty());
   assert(!phys(target.channel).faulted);
   if (hooks_.tracer != nullptr) {
     for (const VcId want : msg.request_set) {
-      trace_sharded(ctx, trace_key, TraceEventKind::CwgArcRemoved, msg.id, want,
-                    from.id);
+      buffer_trace(ctx, trace_key, TraceEventKind::CwgArcRemoved, msg.id, want,
+                   from.id);
     }
-    trace_sharded(ctx, trace_key, TraceEventKind::VcAllocated, msg.id,
-                  target.id, from.id);
+    buffer_trace(ctx, trace_key, TraceEventKind::VcAllocated, msg.id,
+                 target.id, from.id);
     if (msg.blocked) {
-      trace_sharded(ctx, trace_key, TraceEventKind::MessageUnblocked, msg.id,
-                    target.id, from.id,
-                    static_cast<std::int32_t>(now_ - msg.blocked_since));
+      buffer_trace(ctx, trace_key, TraceEventKind::MessageUnblocked, msg.id,
+                   target.id, from.id,
+                   static_cast<std::int32_t>(now_ - msg.blocked_since));
     }
   }
   target.owner = msg.id;
@@ -483,61 +448,40 @@ void Network::acquire_vc_sharded(Message& msg, VcState& from, VcState& target,
 }
 
 void Network::commit_route() {
-  // Injection grants join the active list in source-node order (the serial
-  // grant sweep's order); each shard's grant list is already node-ordered.
-  std::fill(merge_cursor_.begin(), merge_cursor_.end(), 0);
-  for (;;) {
-    std::size_t best = shard_ctx_.size();
-    NodeId best_node = kInvalidNode;
-    for (std::size_t s = 0; s < shard_ctx_.size(); ++s) {
-      const ShardCtx& ctx = shard_ctx_[s];
-      if (merge_cursor_[s] >= ctx.grants.size()) continue;
-      const NodeId node =
-          messages_[static_cast<std::size_t>(ctx.grants[merge_cursor_[s]])].src;
-      if (best == shard_ctx_.size() || node < best_node) {
-        best = s;
-        best_node = node;
-      }
-    }
-    if (best == shard_ctx_.size()) break;
-    const MessageId id = shard_ctx_[best].grants[merge_cursor_[best]];
-    ++merge_cursor_[best];
-    active_pos_[static_cast<std::size_t>(id)] =
-        static_cast<std::int32_t>(active_.size());
-    active_.push_back(id);
-  }
+  // Injection grants join the active list in source-node order; each
+  // shard's grant list is already node-ordered.
+  merge_shards(
+      shard_ctx_, merge_cursor_,
+      [](const ShardCtx& ctx) -> const auto& { return ctx.grants; },
+      [this](MessageId id) {
+        return messages_[static_cast<std::size_t>(id)].src;
+      },
+      [this](MessageId id) {
+        active_pos_[static_cast<std::size_t>(id)] =
+            static_cast<std::int32_t>(active_.size());
+        active_.push_back(id);
+      });
 
   // Rebuild pending_ from the failures, in rotated-scan order.
   scratch_pending_.clear();
-  blocked_count_ = 0;
-  std::fill(merge_cursor_.begin(), merge_cursor_.end(), 0);
-  for (;;) {
-    std::size_t best = shard_ctx_.size();
-    std::uint32_t best_index = 0;
-    for (std::size_t s = 0; s < shard_ctx_.size(); ++s) {
-      const ShardCtx& ctx = shard_ctx_[s];
-      if (merge_cursor_[s] >= ctx.failures.size()) continue;
-      const std::uint32_t index = ctx.failures[merge_cursor_[s]].scan_index;
-      if (best == shard_ctx_.size() || index < best_index) {
-        best = s;
-        best_index = index;
-      }
-    }
-    if (best == shard_ctx_.size()) break;
-    scratch_pending_.push_back(
-        shard_ctx_[best].failures[merge_cursor_[best]].head_vc);
-    ++merge_cursor_[best];
-    ++blocked_count_;
-  }
+  merge_shards(
+      shard_ctx_, merge_cursor_,
+      [](const ShardCtx& ctx) -> const auto& { return ctx.failures; },
+      [](const ShardRouteFailure& f) { return f.scan_index; },
+      [this](const ShardRouteFailure& f) {
+        scratch_pending_.push_back(f.head_vc);
+      });
   pending_.swap(scratch_pending_);
+  blocked_count_ = static_cast<int>(pending_.size());
 
   for (const ShardCtx& ctx : shard_ctx_) counters_.injected += ctx.injected;
-  flush_sharded_traces();
+  flush_traces();
 }
 
 // --- transmit --------------------------------------------------------------
 
-void Network::transmit_phase_sharded() {
+void Network::transmit_phase() {
+  if (active_channels() == 0) return;
   pool_->run([this](std::size_t s) { transmit_decide_shard(shard_ctx_[s]); });
   pool_->run([this](std::size_t s) { transmit_pop_shard(shard_ctx_[s]); });
   pool_->run([this](std::size_t s) { transmit_push_shard(shard_ctx_[s]); });
@@ -548,7 +492,6 @@ void Network::transmit_decide_shard(ShardCtx& ctx) {
   ctx.moves.clear();
   ctx.pending_adds.clear();
   ctx.wake_outbox.clear();
-  ctx.trace_buf.clear();
   // Read-only against phase-start state (the only mutation is descheduling
   // our own channels, which touches no VC). Every decision — including the
   // round-robin winner and the deschedule verdict — is therefore a pure
@@ -607,8 +550,6 @@ void Network::transmit_pop_shard(ShardCtx& ctx) {
     if (move.upstream == kInvalidVc) continue;
     VcState& u = vcs_[static_cast<std::size_t>(move.upstream)];
     move.flit = u.buffer.pop();
-    assert(move.flit.message ==
-           vcs_[static_cast<std::size_t>(move.dst_vc)].owner);
   }
 }
 
@@ -638,14 +579,15 @@ void Network::transmit_push_shard(ShardCtx& ctx) {
       }
       if (hooks_.heatmap != nullptr) hooks_.heatmap->on_traversal(pc.id, w.id);
       if (hooks_.tracer != nullptr) {
-        trace_sharded(ctx, key, TraceEventKind::FlitInjected, msg.id, w.id,
-                      kInvalidVc, flit.seq);
+        buffer_trace(ctx, key, TraceEventKind::FlitInjected, msg.id, w.id,
+                     kInvalidVc, flit.seq);
       }
       pc.rr_cursor = move.rr_index + 1 == pc.num_vcs ? 0 : move.rr_index + 1;
       continue;
     }
 
     Flit flit = move.flit;
+    assert(flit.message == w.owner);
     VcState& u = vcs_[static_cast<std::size_t>(move.upstream)];
     Message& msg = messages_[static_cast<std::size_t>(flit.message)];
     // Freed buffer space upstream: wake the feeding channel (often another
@@ -678,10 +620,10 @@ void Network::transmit_push_shard(ShardCtx& ctx) {
     }
     if (hooks_.heatmap != nullptr) hooks_.heatmap->on_traversal(pc.id, w.id);
     if (hooks_.tracer != nullptr) {
-      trace_sharded(ctx, key, TraceEventKind::FlitHopped, msg.id, w.id, u.id,
-                    flit.seq);
+      buffer_trace(ctx, key, TraceEventKind::FlitHopped, msg.id, w.id, u.id,
+                   flit.seq);
       if (tail_left_upstream) {
-        trace_sharded(ctx, key, TraceEventKind::VcFreed, msg.id, u.id);
+        buffer_trace(ctx, key, TraceEventKind::VcFreed, msg.id, u.id);
       }
     }
     if (flit.is_head() && pc.kind != ChannelKind::Ejection) {
@@ -695,34 +637,21 @@ void Network::transmit_push_shard(ShardCtx& ctx) {
 }
 
 void Network::commit_transmit() {
-  // New unrouted heads join pending_ in channel-id order (the serial
-  // transmit visit order), after the route phase's rotated rebuild.
-  std::fill(merge_cursor_.begin(), merge_cursor_.end(), 0);
-  for (;;) {
-    std::size_t best = shard_ctx_.size();
-    ChannelId best_ch = kInvalidChannel;
-    for (std::size_t s = 0; s < shard_ctx_.size(); ++s) {
-      const ShardCtx& ctx = shard_ctx_[s];
-      if (merge_cursor_[s] >= ctx.pending_adds.size()) continue;
-      const ChannelId ch = ctx.pending_adds[merge_cursor_[s]].channel;
-      if (best == shard_ctx_.size() || ch < best_ch) {
-        best = s;
-        best_ch = ch;
-      }
-    }
-    if (best == shard_ctx_.size()) break;
-    pending_.push_back(shard_ctx_[best].pending_adds[merge_cursor_[best]].vc);
-    ++merge_cursor_[best];
-  }
+  // New unrouted heads join pending_ in channel-id order, after the route
+  // phase's rotated rebuild.
+  merge_shards(
+      shard_ctx_, merge_cursor_,
+      [](const ShardCtx& ctx) -> const auto& { return ctx.pending_adds; },
+      [](const ShardPendingAdd& add) { return add.channel; },
+      [this](const ShardPendingAdd& add) { pending_.push_back(add.vc); });
 
   // Cross-shard wakeups: idempotent set inserts, order irrelevant.
   for (const ShardCtx& ctx : shard_ctx_) {
     for (const ChannelId ch : ctx.wake_outbox) {
-      shard_ctx_[static_cast<std::size_t>(shard_of_channel(ch))]
-          .chan_active.insert(ch);
+      channel_ctx(ch).chan_active.insert(ch);
     }
   }
-  flush_sharded_traces();
+  flush_traces();
 }
 
 }  // namespace flexnet

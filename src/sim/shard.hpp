@@ -1,4 +1,4 @@
-// Per-shard state for the parallel stepping engine (DESIGN.md §3j).
+// Per-shard state for the step engine (DESIGN.md §3h).
 //
 // Each worker thread owns one ShardCtx: the shard's slice of the three
 // active sets, its own arc-epoch term, reusable scratch buffers, and the
@@ -25,7 +25,7 @@ namespace flexnet {
 /// One flit drained from an ejection VC this cycle (deliver phase). At most
 /// one per node per cycle, produced in ascending node order within a shard;
 /// the commit merges shards by node id and runs tail completions in that
-/// order (exactly the serial sweep's order).
+/// order.
 struct ShardDelivery {
   NodeId node = kInvalidNode;
   MessageId msg = kInvalidMessage;
@@ -36,7 +36,7 @@ struct ShardDelivery {
 
 /// A route-phase allocation failure: the header stays pending. Tagged with
 /// its position in this cycle's rotated scan so the commit can rebuild
-/// pending_ in exactly the order the serial walk would have.
+/// pending_ in scan order whatever the shard count.
 struct ShardRouteFailure {
   std::uint32_t scan_index = 0;
   VcId head_vc = kInvalidVc;
@@ -62,8 +62,7 @@ struct ShardTraceRecord {
 };
 
 /// A head flit that entered a new VC this cycle and must join pending_.
-/// Keyed by channel id (the serial transmit visit order; at most one per
-/// channel per cycle).
+/// Keyed by channel id (at most one per channel per cycle).
 struct ShardPendingAdd {
   ChannelId channel = kInvalidChannel;
   VcId vc = kInvalidVc;
@@ -79,8 +78,8 @@ struct ShardCtx {
   ActiveSet eject_active;
   ActiveSet chan_active;
 
-  /// This shard's term of the composed arc epoch (monotonic, never reset
-  /// while sharding is enabled; folded into the base counter on reshard).
+  /// This shard's term of the composed arc epoch (monotonic; folded into the
+  /// base counter on reshard).
   std::uint64_t epoch = 0;
 
   // --- per-cycle result buffers (cleared each phase) -----------------------
@@ -100,22 +99,10 @@ struct ShardCtx {
 
   std::vector<ShardTraceRecord> trace_buf;
 
-  // --- reusable scratch (mirrors Network's serial scratch members) ---------
+  // --- reusable scratch ---------------------------------------------------
   std::vector<ChannelId> scratch_channels;
   std::vector<VcId> scratch_vcs;
   std::vector<VcId> scratch_old_requests;
-
-  void clear_cycle_buffers() {
-    deliveries.clear();
-    flits_delivered = 0;
-    grants.clear();
-    injected = 0;
-    failures.clear();
-    moves.clear();
-    pending_adds.clear();
-    wake_outbox.clear();
-    trace_buf.clear();
-  }
 };
 
 }  // namespace flexnet

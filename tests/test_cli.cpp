@@ -99,6 +99,11 @@ TEST(Cli, QuiescenceAndCycleFlags) {
 TEST(Cli, StepDenseFlag) {
   EXPECT_FALSE(experiment_from_options(parse({})).run.step_dense);
   EXPECT_TRUE(experiment_from_options(parse({"--step-dense"})).run.step_dense);
+  // Dense mode is a mode of the one step engine, so it takes any shard count.
+  const ExperimentConfig both =
+      experiment_from_options(parse({"--step-dense", "--shards", "3"}));
+  EXPECT_TRUE(both.run.step_dense);
+  EXPECT_EQ(both.run.shards, 3);
 }
 
 TEST(Cli, LoadsListParsing) {

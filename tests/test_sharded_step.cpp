@@ -1,9 +1,9 @@
-// Sharded-vs-1-shard determinism: the parallel stepping engine must be
-// byte-identical across EVERY shard count — per-cycle network state bytes,
-// detector verdicts, snapshots, traces, metrics streams and telemetry
-// manifests. The 1-shard run is the oracle (the sharded engine's semantics
-// differ from the serial engine's by design: cycle-start transmit credits and
-// hashed selection draws; DESIGN.md §3j). The suite locksteps shard counts
+// Sharded-vs-1-shard determinism: the step engine must be byte-identical
+// across EVERY shard count — per-cycle network state bytes, detector
+// verdicts, snapshots, traces, metrics streams and telemetry manifests. The
+// 1-shard run, which is also the default engine (one inline shard), is the
+// oracle; its semantics — cycle-start transmit credits and hashed selection
+// draws — are DESIGN.md §3h's. The suite locksteps shard counts
 // for DOR, TFAR and TableMin across light / medium / saturation load, adds
 // multi-VC adaptive routing with faults, replays the committed deadlock
 // corpus, crosses shard counts over a mid-run checkpoint, and pins the
@@ -99,7 +99,7 @@ void run_lockstep(ExperimentConfig cfg, Cycle cycles, int shards) {
   EXPECT_GT(one.network().counters().delivered, 0);
 
   // Snapshots never record the execution strategy: both sides encode
-  // byte-identically (and identically to what a serial run would restore).
+  // byte-identically.
   EXPECT_EQ(encode_snapshot(one.make_checkpoint()),
             encode_snapshot(wide.make_checkpoint()));
 }
@@ -266,16 +266,22 @@ TEST(ShardedStep, SetShardsValidation) {
   deps.routing = make_routing(cfg);
   deps.selection = make_selection(cfg.selection);
   Network net(cfg, std::move(deps));
-  EXPECT_EQ(net.shards(), 0);
+  EXPECT_EQ(net.shards(), 1);  // a fresh network steps on one inline shard
+  EXPECT_THROW(net.set_shards(0), std::invalid_argument);
   EXPECT_THROW(net.set_shards(-1), std::invalid_argument);
   EXPECT_THROW(net.set_shards(5), std::invalid_argument);  // > 4 nodes
+  EXPECT_EQ(net.shards(), 1);
+  // The dense oracle is a mode of the same engine, so it takes any count.
   net.set_step_dense(true);
-  EXPECT_THROW(net.set_shards(2), std::invalid_argument);
-  net.set_step_dense(false);
   net.set_shards(2);
   EXPECT_EQ(net.shards(), 2);
-  net.set_shards(0);  // back to the serial engine
-  EXPECT_EQ(net.shards(), 0);
+  EXPECT_TRUE(net.step_dense());
+  net.enqueue_message(0, 2, 4);
+  for (int i = 0; i < 50; ++i) net.step();
+  EXPECT_EQ(net.counters().delivered, 1);
+  net.check_invariants();
+  net.set_shards(1);
+  EXPECT_EQ(net.shards(), 1);
 }
 
 TEST(ShardedStep, ReshardMidRunAndEpochMonotonicity) {

@@ -2,8 +2,9 @@
 // must be bit-identical to the dense per-cycle sweep (--step-dense) in every
 // observable way — per-cycle network state bytes, detector verdicts, RNG
 // consumption, snapshots, and telemetry manifests. The suite locksteps the
-// two modes for DOR, TFAR, and TableMin at light / medium / saturation load,
-// replays the committed deadlock corpus both ways, crosses modes over a
+// two modes for DOR, TFAR, and TableMin at light / medium / saturation load
+// and replays the committed deadlock corpus both ways, each at 1 and at 8
+// shards (dense mode fills every shard's sets), crosses modes over a
 // mid-run checkpoint, and pins the recovery-wakeup contract: a network that
 // just had a message removed must drain without a dense sweep.
 #include <gtest/gtest.h>
@@ -59,16 +60,22 @@ ExperimentConfig grid_config(RoutingKind routing, double load) {
   return cfg;
 }
 
-/// Runs the same configuration event-driven and dense in lockstep, asserting
-/// the full serialized network state matches periodically and every detector
-/// verdict matches each cycle.
-void run_lockstep(const ExperimentConfig& cfg, Cycle cycles) {
+/// Shard counts every lockstep pair runs at.
+constexpr int kShardCounts[] = {1, 8};
+
+/// Runs the same configuration event-driven and dense in lockstep at
+/// `shards` shards, asserting the full serialized network state matches
+/// periodically and every detector verdict matches each cycle.
+void run_lockstep_at(ExperimentConfig cfg, Cycle cycles, int shards) {
+  cfg.run.shards = shards;
   ExperimentConfig dense_cfg = cfg;
   dense_cfg.run.step_dense = true;
   Simulation event(cfg);
   Simulation dense(dense_cfg);
   ASSERT_FALSE(event.network().step_dense());
   ASSERT_TRUE(dense.network().step_dense());
+  ASSERT_EQ(event.network().shards(), shards);
+  ASSERT_EQ(dense.network().shards(), shards);
 
   for (Cycle i = 0; i < cycles; ++i) {
     event.injection().tick(event.network());
@@ -98,6 +105,13 @@ void run_lockstep(const ExperimentConfig& cfg, Cycle cycles) {
   // the active sets are derived state and never enter the format.
   EXPECT_EQ(encode_snapshot(event.make_checkpoint()),
             encode_snapshot(dense.make_checkpoint()));
+}
+
+void run_lockstep(const ExperimentConfig& cfg, Cycle cycles) {
+  for (const int shards : kShardCounts) {
+    SCOPED_TRACE(shards);
+    run_lockstep_at(cfg, cycles, shards);
+  }
 }
 
 TEST(StepEquivalence, DorLightMediumSaturation) {
@@ -144,26 +158,32 @@ TEST(StepEquivalence, CommittedCorpusReplaysBothModes) {
   for (const std::string& path : files) {
     SCOPED_TRACE(path);
     const Snapshot snap = read_snapshot_file(path);
-    RestoredSim event = restore_snapshot(snap);
-    RestoredSim dense = restore_snapshot(snap);
-    dense.net->set_step_dense(true);
-    // Restore rebuilds the active sets from the captured knot: the very first
-    // event-driven step must see the blocked channels without a dense sweep.
-    DeadlockDetector event_det(DetectorConfig{.interval = 1}, 99);
-    DeadlockDetector dense_det(DetectorConfig{.interval = 1}, 99);
+    for (const int shards : kShardCounts) {
+      SCOPED_TRACE(shards);
+      RestoredSim event = restore_snapshot(snap);
+      RestoredSim dense = restore_snapshot(snap);
+      event.net->set_shards(shards);
+      dense.net->set_shards(shards);
+      dense.net->set_step_dense(true);
+      // Restore rebuilds the active sets from the captured knot: the very
+      // first event-driven step must see the blocked channels without a
+      // dense sweep.
+      DeadlockDetector event_det(DetectorConfig{.interval = 1}, 99);
+      DeadlockDetector dense_det(DetectorConfig{.interval = 1}, 99);
 
-    for (int i = 0; i < 300; ++i) {
-      event.injection->tick(*event.net);
-      event.net->step();
-      const int event_verdict = event_det.tick(*event.net);
-      dense.injection->tick(*dense.net);
-      dense.net->step();
-      const int dense_verdict = dense_det.tick(*dense.net);
-      ASSERT_EQ(event_verdict, dense_verdict) << "diverged at step " << i;
+      for (int i = 0; i < 300; ++i) {
+        event.injection->tick(*event.net);
+        event.net->step();
+        const int event_verdict = event_det.tick(*event.net);
+        dense.injection->tick(*dense.net);
+        dense.net->step();
+        const int dense_verdict = dense_det.tick(*dense.net);
+        ASSERT_EQ(event_verdict, dense_verdict) << "diverged at step " << i;
+      }
+      EXPECT_GT(event_det.total_deadlocks(), 0) << "capture should re-deadlock";
+      EXPECT_EQ(net_bytes(*event.net), net_bytes(*dense.net));
+      EXPECT_EQ(detector_bytes(event_det), detector_bytes(dense_det));
     }
-    EXPECT_GT(event_det.total_deadlocks(), 0) << "capture should re-deadlock";
-    EXPECT_EQ(net_bytes(*event.net), net_bytes(*dense.net));
-    EXPECT_EQ(detector_bytes(event_det), detector_bytes(dense_det));
   }
 }
 

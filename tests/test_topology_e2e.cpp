@@ -1,11 +1,12 @@
 // End-to-end coverage for file-defined topologies: the committed
 // examples/topologies/irregular-16.topo runs the full pipeline — saturate
-// table routing, detect knots, capture snapshots, replay them — and
-// mid-run checkpoints resume bit-exactly. Also pins snapshot backward
+// table routing, detect knots, capture snapshots, replay them — over a
+// fixed seed list, and mid-run checkpoints resume bit-exactly. Also pins snapshot backward
 // compatibility: the committed v1 corpus (no topology section) still
 // decodes and replays.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -20,12 +21,17 @@ namespace {
 
 const char* kIrregular16 = FLEXNET_TOPO_DIR "/irregular-16.topo";
 
-ExperimentConfig irregular_cfg(RoutingKind routing) {
+// Whether one seed's 4000-cycle run deadlocks is chance (TableMin deadlocks
+// on roughly three seeds in four at this load), so the saturation claims are
+// made over a fixed seed list rather than one seed.
+constexpr std::uint64_t kSeeds[] = {1, 2, 3, 4, 5, 6, 7, 8};
+
+ExperimentConfig irregular_cfg(RoutingKind routing, std::uint64_t seed = 7) {
   ExperimentConfig cfg;
   cfg.sim.topo_kind = TopoKind::File;
   cfg.sim.topo_file = kIrregular16;
   cfg.sim.routing = routing;
-  cfg.sim.seed = 7;
+  cfg.sim.seed = seed;
   cfg.traffic.load = 0.8;
   cfg.detector.interval = 50;
   cfg.run.warmup = 500;
@@ -35,6 +41,7 @@ ExperimentConfig irregular_cfg(RoutingKind routing) {
 
 std::vector<std::string> snap_files(const std::string& dir) {
   std::vector<std::string> files;
+  if (!std::filesystem::exists(dir)) return files;
   for (const auto& entry : std::filesystem::directory_iterator(dir)) {
     if (entry.path().extension() == ".snap") files.push_back(entry.path());
   }
@@ -43,37 +50,47 @@ std::vector<std::string> snap_files(const std::string& dir) {
 
 TEST(TopologyE2E, IrregularFileSaturateDetectCaptureReplay) {
   const std::string dir = ::testing::TempDir() + "flexnet_irregular_corpus";
-  std::filesystem::remove_all(dir);
+  std::int64_t deadlocks = 0;
+  int captured = 0;
+  for (const std::uint64_t seed : kSeeds) {
+    SCOPED_TRACE(seed);
+    std::filesystem::remove_all(dir);
+    ExperimentConfig cfg = irregular_cfg(RoutingKind::TableMin, seed);
+    cfg.snapshot.capture_dir = dir;
+    cfg.snapshot.capture_limit = 8;
+    const ExperimentResult result = run_experiment(cfg);
+    deadlocks += result.window.deadlocks;
+    captured += result.deadlocks_captured;
 
-  ExperimentConfig cfg = irregular_cfg(RoutingKind::TableMin);
-  cfg.snapshot.capture_dir = dir;
-  cfg.snapshot.capture_limit = 8;
-  const ExperimentResult result = run_experiment(cfg);
+    for (const std::string& path : snap_files(dir)) {
+      const Snapshot snap = read_snapshot_file(path);
+      ASSERT_TRUE(snap.topo.present);
+      EXPECT_EQ(snap.topo.kind, TopoKind::File);
+      EXPECT_EQ(snap.topo.nodes, 16);
+      // The embedded link list rebuilds the exact topology: hashes agree
+      // with a fresh parse of the file.
+      EXPECT_EQ(snap.topo.content_hash,
+                make_topology(snap.sim)->content_hash());
+      const ReplayResult replay = replay_capture(snap);
+      EXPECT_TRUE(replay.matches) << path << ": " << replay.detail;
+    }
+  }
+  std::filesystem::remove_all(dir);
 
   // Minimal adaptive routing on the irregular graph deadlocks at saturation
   // (the paper's story, off the torus).
-  EXPECT_GT(result.window.deadlocks, 0);
-  ASSERT_GT(result.deadlocks_captured, 0);
-
-  for (const std::string& path : snap_files(dir)) {
-    const Snapshot snap = read_snapshot_file(path);
-    ASSERT_TRUE(snap.topo.present);
-    EXPECT_EQ(snap.topo.kind, TopoKind::File);
-    EXPECT_EQ(snap.topo.nodes, 16);
-    // The embedded link list rebuilds the exact topology: hashes agree with
-    // a fresh parse of the file.
-    EXPECT_EQ(snap.topo.content_hash, make_topology(snap.sim)->content_hash());
-    const ReplayResult replay = replay_capture(snap);
-    EXPECT_TRUE(replay.matches) << path << ": " << replay.detail;
-  }
-  std::filesystem::remove_all(dir);
+  EXPECT_GT(deadlocks, 0);
+  EXPECT_GT(captured, 0);
 }
 
 TEST(TopologyE2E, UpDownStaysDeadlockFreeOnTheSameNetwork) {
-  const ExperimentResult result =
-      run_experiment(irregular_cfg(RoutingKind::TableUpDown));
-  EXPECT_EQ(result.window.deadlocks, 0);
-  EXPECT_GT(result.window.delivered, 0);
+  for (const std::uint64_t seed : kSeeds) {
+    SCOPED_TRACE(seed);
+    const ExperimentResult result =
+        run_experiment(irregular_cfg(RoutingKind::TableUpDown, seed));
+    EXPECT_EQ(result.window.deadlocks, 0);
+    EXPECT_GT(result.window.delivered, 0);
+  }
 }
 
 TEST(TopologyE2E, CheckpointResumeIsBitExactOnFileTopology) {

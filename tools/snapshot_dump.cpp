@@ -1,4 +1,5 @@
-// Inspector + replay driver for flexnet-snap-v1 snapshot files.
+// Inspector + replay driver for flexnet-snap snapshot files (any readable
+// format version; the version is the first line printed per file).
 //
 //   snapshot_dump FILE...            print each snapshot's header + configs
 //   snapshot_dump --replay FILE...   additionally restore each DeadlockCapture
@@ -30,6 +31,7 @@ const char* kind_name(SnapshotKind kind) {
 void print_snapshot(const std::string& path, const Snapshot& snap) {
   const SnapshotMeta& m = snap.meta;
   std::printf("%s\n", path.c_str());
+  std::printf("  version     %u\n", snap.version);
   std::printf("  kind        %s\n", kind_name(m.kind));
   std::printf("  cycle       %lld (%s; warmup %lld, measure %lld)\n",
               static_cast<long long>(m.cycle),
