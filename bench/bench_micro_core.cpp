@@ -4,10 +4,14 @@
 // detection every 50 cycles.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "flexnet.hpp"
 
@@ -375,6 +379,65 @@ void BM_CycleEnumerationCapped(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CycleEnumerationCapped);
+
+/// Knot cycle density, through one reused scratch as the detector does, over
+/// the knots the saturated 16-ary 2-cube forms after warmup: the CWG is
+/// snapshotted every 50 cycles and each knot broken by removing one
+/// deadlock-set message, so knots keep forming at the paper workload's size
+/// (~240 VCs, ~80 cycles each). One iteration measures every knot of the
+/// first snapshots that hold at least 32 (the `knots` counter).
+void BM_KnotCycleDensity(benchmark::State& state) {
+  constexpr std::size_t kKnots = 32;
+  auto sim = saturated_sim(16, 0.5);
+  std::vector<std::pair<Cwg, std::vector<Knot>>> snapshots;
+  std::size_t knots = 0;
+  while (knots < kKnots) {
+    Cwg cwg = Cwg::from_network(sim->network());
+    std::vector<Knot> found = find_knots(cwg);
+    for (const Knot& knot : found) {
+      sim->network().remove_message(knot.deadlock_set.front());
+    }
+    knots += found.size();
+    if (!found.empty()) snapshots.emplace_back(std::move(cwg), std::move(found));
+    sim->run_cycles(50);
+  }
+  CycleScratch scratch;
+  for (auto _ : state) {
+    std::int64_t cycles = 0;
+    for (const auto& [cwg, found] : snapshots) {
+      for (const Knot& knot : found) {
+        cycles += knot_cycle_density(cwg, knot, 100000, 0, scratch).count;
+      }
+    }
+    benchmark::DoNotOptimize(cycles);
+  }
+  state.counters["knots"] = static_cast<double>(knots);
+}
+BENCHMARK(BM_KnotCycleDensity);
+
+/// Host-speed calibration for bench/compare_bench.py: fills 100k keys from an
+/// xorshift stream and sorts them with std::sort. It calls no flexnet code,
+/// so no change to the repo can move it, and its ratio between two hosts
+/// approximates their general speed ratio.
+void BM_Calibration(benchmark::State& state) {
+  constexpr std::size_t kKeys = 100000;
+  std::vector<std::uint64_t> keys(kKeys);
+  std::uint64_t seed = 0x9e3779b97f4a7c15ULL;
+  benchmark::DoNotOptimize(seed);  // a run-time input: nothing folds away
+  for (auto _ : state) {
+    std::uint64_t x = seed;
+    for (std::uint64_t& key : keys) {
+      x ^= x << 13;
+      x ^= x >> 7;
+      x ^= x << 17;
+      key = x;
+    }
+    std::sort(keys.begin(), keys.end());
+    benchmark::DoNotOptimize(keys.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_Calibration);
 
 void BM_ImmobilityCheck(benchmark::State& state) {
   auto sim = saturated_sim(16, 0.5);

@@ -5,12 +5,12 @@ Compares a freshly produced benchmark summary against the committed baseline
 and fails (exit 1) when a gated benchmark regressed by more than the
 threshold. Raw nanoseconds are not comparable across hosts (the committed
 baseline and a CI runner differ in clock speed and contention), so both sides
-are first normalized by a calibration benchmark — BM_CycleEnumerationCapped,
-a pure CPU-bound graph kernel on a fixed synthetic graph, whose ratio
-between two hosts approximates their general speed ratio. (Calibration must
-be code the repo rarely touches: normalizing by e.g. BM_SccDense would turn
-any SCC optimization into a phantom regression of every gated benchmark.)
-The gate then compares *normalized* times:
+are first normalized by a calibration benchmark — BM_Calibration, an
+xorshift fill and std::sort of 100k keys that calls no flexnet code, whose
+ratio between two hosts approximates their general speed ratio.
+(Calibration must be code no change to the repo can move: normalizing by
+e.g. BM_SccDense would turn any SCC optimization into a phantom regression
+of every gated benchmark.) The gate then compares *normalized* times:
 
     regression = (fresh[b] / fresh[cal]) / (base[b] / base[cal]) - 1
 
@@ -38,7 +38,7 @@ GATED = ["BM_NetworkStep/8", "BM_NetworkStep/16", "BM_NetworkStep/32",
          "BM_NetworkStepIdle/event", "BM_NetworkStepLowLoad/event",
          "BM_NetworkStepTraceReplay/iterations:4000", "BM_NetworkStepPaced",
          "BM_FullDetectionPass", "BM_MetricsSample"]
-CALIBRATION = "BM_CycleEnumerationCapped"
+CALIBRATION = "BM_Calibration"
 
 # Sharded scaling gate: an intra-summary wall-clock ratio on the fresh run,
 # so no cross-host calibration is involved. BM_NetworkStepSharded/1 is the

@@ -77,8 +77,9 @@ int DeadlockDetector::run_detection(Network& net) {
   const Cwg& cwg = scratch_.rebuild(net);
 
   if (sample_due) {
+    cycle_scratch_.load(cwg.graph());
     const CycleEnumeration total =
-        enumerate_simple_cycles(cwg.graph(), config_.total_cycle_cap);
+        enumerate_simple_cycles(cycle_scratch_, config_.total_cycle_cap);
     CycleSample sample;
     sample.at = net.now();
     sample.cycles = total.count;
@@ -131,8 +132,9 @@ int DeadlockDetector::process_knots(Network& net, const Cwg& cwg) {
       // subgraph is frozen, so the enumeration result cannot change.
       CachedDensity& cache = cached_density_[ki];
       if (!cache.measured) {
-        const CycleEnumeration density =
-            knot_cycle_density(cwg, knot, config_.knot_density_cap);
+        ScopedPhase density_timer(profiler_, SimPhase::KnotDensity);
+        const CycleEnumeration density = knot_cycle_density(
+            cwg, knot, config_.knot_density_cap, 0, cycle_scratch_);
         cache.measured = true;
         cache.count = density.count;
         cache.capped = density.capped;

@@ -147,7 +147,8 @@ class DeadlockDetector {
 
   /// Attaches a phase profiler (non-owning; nullptr detaches). Detection
   /// passes are recorded as SimPhase::Detector, victim/livelock removals as
-  /// the nested SimPhase::Recovery.
+  /// the nested SimPhase::Recovery and knot density measurements as the
+  /// nested SimPhase::KnotDensity.
   void set_profiler(PhaseProfiler* profiler) noexcept {
     profiler_ = profiler;
   }
@@ -223,6 +224,7 @@ class DeadlockDetector {
   // deliberately exclude everything below so snapshots stay format-stable and
   // path-independent; restore_state just invalidates the cache) --------------
   CwgScratch scratch_;
+  CycleScratch cycle_scratch_;  ///< Knot density and total-cycle samples.
   std::vector<MessageId> livelock_scratch_;
   std::int64_t skipped_passes_ = 0;
   PressureStats pressure_;

@@ -104,8 +104,30 @@ std::vector<Knot> find_knots(const Cwg& cwg) {
 
 CycleEnumeration knot_cycle_density(const Cwg& cwg, const Knot& knot,
                                     std::int64_t cap, std::size_t store_limit) {
-  const Digraph sub = cwg.graph().induced(knot.knot_vcs);
-  CycleEnumeration result = enumerate_simple_cycles(sub, cap, store_limit);
+  CycleScratch scratch;
+  return knot_cycle_density(cwg, knot, cap, store_limit, scratch);
+}
+
+CycleEnumeration knot_cycle_density(const Cwg& cwg, const Knot& knot,
+                                    std::int64_t cap, std::size_t store_limit,
+                                    CycleScratch& scratch) {
+  // The knot-induced subgraph, built straight into CSR: vertex i is
+  // knot_vcs[i], and the ascending knot_vcs maps an arc's head back to its
+  // index by binary search.
+  const std::vector<VcId>& vcs = knot.knot_vcs;
+  scratch.offsets.clear();
+  scratch.targets.clear();
+  scratch.offsets.push_back(0);
+  for (const VcId vc : vcs) {
+    for (const int w : cwg.graph().out(vc)) {
+      const auto it = std::lower_bound(vcs.begin(), vcs.end(), w);
+      if (it != vcs.end() && *it == w) {
+        scratch.targets.push_back(static_cast<int>(it - vcs.begin()));
+      }
+    }
+    scratch.offsets.push_back(static_cast<int>(scratch.targets.size()));
+  }
+  CycleEnumeration result = enumerate_simple_cycles(scratch, cap, store_limit);
   // Map stored cycle vertices back to the original VC ids.
   for (auto& cycle : result.cycles) {
     for (int& v : cycle) {

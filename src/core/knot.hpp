@@ -56,10 +56,19 @@ void characterize_knots(const Cwg& cwg, std::vector<Knot>& knots);
 
 /// Knot cycle density: the number of unique elementary cycles within the
 /// knot-induced subgraph (1 for the paper's "single-cycle deadlocks").
+/// knot.knot_vcs must be ascending, as find_knots leaves it.
 [[nodiscard]] CycleEnumeration knot_cycle_density(const Cwg& cwg,
                                                   const Knot& knot,
                                                   std::int64_t cap,
                                                   std::size_t store_limit = 0);
+
+/// Same, drawing working memory from `scratch`: a warm scratch makes the
+/// measurement allocation-free unless cycles are stored.
+[[nodiscard]] CycleEnumeration knot_cycle_density(const Cwg& cwg,
+                                                  const Knot& knot,
+                                                  std::int64_t cap,
+                                                  std::size_t store_limit,
+                                                  CycleScratch& scratch);
 
 /// Convenience: true iff the CWG contains at least one knot.
 [[nodiscard]] bool has_deadlock(const Cwg& cwg);

@@ -13,6 +13,7 @@ std::string_view to_string(SimPhase phase) noexcept {
     case SimPhase::Transmit: return "transmit";
     case SimPhase::Detector: return "detector";
     case SimPhase::Recovery: return "recovery";
+    case SimPhase::KnotDensity: return "knot_density";
     case SimPhase::kCount_: break;
   }
   return "?";
@@ -21,7 +22,7 @@ std::string_view to_string(SimPhase phase) noexcept {
 std::int64_t PhaseProfiler::total_ns() const noexcept {
   std::int64_t total = 0;
   for (std::size_t i = 0; i < kNumSimPhases; ++i) {
-    if (static_cast<SimPhase>(i) == SimPhase::Recovery) continue;
+    if (is_nested(static_cast<SimPhase>(i))) continue;
     total += phases_[i].total_ns;
   }
   return total;
@@ -35,15 +36,15 @@ std::string PhaseProfiler::table() const {
     const auto phase = static_cast<SimPhase>(i);
     const PhaseStats& s = phases_[i];
     const double share =
-        (total > 0 && phase != SimPhase::Recovery)
+        (total > 0 && !is_nested(phase))
             ? 100.0 * static_cast<double>(s.total_ns) / total
             : 0.0;
     table.row({std::string(to_string(phase)), TableWriter::integer(s.calls),
                TableWriter::num(static_cast<double>(s.total_ns) / 1e6, 3),
                TableWriter::num(s.mean_ns() / 1e3, 3),
                TableWriter::num(static_cast<double>(s.max_ns) / 1e3, 3),
-               phase == SimPhase::Recovery ? "(in detector)"
-                                           : TableWriter::num(share, 1) + "%"});
+               is_nested(phase) ? "(in detector)"
+                                : TableWriter::num(share, 1) + "%"});
   }
   std::ostringstream out;
   table.print(out);

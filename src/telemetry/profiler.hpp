@@ -5,9 +5,9 @@
 // makes every hook a single predictable branch, and a ScopedPhase built from
 // nullptr never touches the clock.
 //
-// Nesting: deadlock recovery runs *inside* a detector invocation, so the
-// Detector phase's total includes the Recovery phase's total. total_ns()
-// therefore sums all phases except Recovery.
+// Nesting: deadlock recovery and knot cycle density run *inside* a detector
+// invocation, so the Detector phase's total includes theirs. total_ns()
+// therefore sums only the phases that are not nested (is_nested).
 #pragma once
 
 #include <array>
@@ -20,18 +20,25 @@ namespace flexnet {
 
 /// The simulator's per-cycle phases, in execution order.
 enum class SimPhase : std::uint8_t {
-  Deliver,   ///< Reception interfaces drain ejection VCs.
-  Route,     ///< Injection grants + header VC allocation.
-  Transmit,  ///< Link transmission (one flit per physical channel).
-  Detector,  ///< Deadlock detection pass (includes Recovery).
-  Recovery,  ///< Victim removal inside a detection pass.
-  kCount_,   ///< Sentinel; not a real phase.
+  Deliver,      ///< Reception interfaces drain ejection VCs.
+  Route,        ///< Injection grants + header VC allocation.
+  Transmit,     ///< Link transmission (one flit per physical channel).
+  Detector,     ///< Deadlock detection pass (includes the nested phases).
+  Recovery,     ///< Victim removal inside a detection pass.
+  KnotDensity,  ///< Knot cycle density inside a detection pass.
+  kCount_,      ///< Sentinel; not a real phase.
 };
 
 inline constexpr std::size_t kNumSimPhases =
     static_cast<std::size_t>(SimPhase::kCount_);
 
 [[nodiscard]] std::string_view to_string(SimPhase phase) noexcept;
+
+/// True for a phase timed inside Detector, whose time Detector's total
+/// already holds.
+[[nodiscard]] constexpr bool is_nested(SimPhase phase) noexcept {
+  return phase == SimPhase::Recovery || phase == SimPhase::KnotDensity;
+}
 
 class PhaseProfiler {
  public:
@@ -58,7 +65,8 @@ class PhaseProfiler {
     return phases_[static_cast<std::size_t>(phase)];
   }
 
-  /// Total profiled time; excludes Recovery (already inside Detector).
+  /// Total profiled time; excludes the nested phases (already inside
+  /// Detector).
   [[nodiscard]] std::int64_t total_ns() const noexcept;
 
   void reset() noexcept { phases_.fill(PhaseStats{}); }

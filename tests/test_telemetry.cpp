@@ -220,6 +220,25 @@ TEST(PhaseProfiler, ScopedPhaseAccumulates) {
   EXPECT_EQ(profiler.stats(SimPhase::Route).calls, 0);
 }
 
+TEST(PhaseProfiler, NestedPhasesStayOutOfTheTotal) {
+  EXPECT_TRUE(is_nested(SimPhase::Recovery));
+  EXPECT_TRUE(is_nested(SimPhase::KnotDensity));
+  EXPECT_FALSE(is_nested(SimPhase::Detector));
+  EXPECT_FALSE(is_nested(SimPhase::Transmit));
+  EXPECT_EQ(to_string(SimPhase::KnotDensity), "knot_density");
+
+  PhaseProfiler profiler;
+  profiler.record(SimPhase::Transmit, 300);
+  profiler.record(SimPhase::Detector, 1000);
+  profiler.record(SimPhase::Recovery, 100);
+  profiler.record(SimPhase::KnotDensity, 600);
+  EXPECT_EQ(profiler.total_ns(), 1300);  // the nested 700 ns is inside Detector
+  const std::string table = profiler.table();
+  const std::size_t row = table.find("knot_density");
+  ASSERT_NE(row, std::string::npos);
+  EXPECT_NE(table.find("(in detector)", row), std::string::npos);
+}
+
 // --- end-to-end: Simulation + manifest ------------------------------------
 
 ExperimentConfig telemetry_config() {
@@ -268,6 +287,34 @@ TEST(Telemetry, SimulationCollectsSeriesAndProfile) {
             std::string::npos);
   EXPECT_GT(sim.telemetry()->heatmap().total_traversals(), 0);
   EXPECT_GT(sim.telemetry()->profiler().stats(SimPhase::Transmit).calls, 0);
+}
+
+TEST(Telemetry, KnotDensityIsTimedInsideTheDetector) {
+  // A unidirectional DOR ring with one VC deadlocks quickly, and every
+  // confirmed knot has its cycle density measured.
+  ExperimentConfig cfg = telemetry_config();
+  cfg.sim.topology.bidirectional = false;
+  cfg.sim.vcs = 1;
+  cfg.traffic.load = 0.8;
+  Simulation sim(cfg);
+  const ExperimentResult result = sim.run();
+  ASSERT_GT(result.window.deadlocks, 0);
+
+  const PhaseProfiler& profiler = sim.telemetry()->profiler();
+  const PhaseProfiler::PhaseStats& density = profiler.stats(SimPhase::KnotDensity);
+  const PhaseProfiler::PhaseStats& detector = profiler.stats(SimPhase::Detector);
+  EXPECT_GT(density.calls, 0);
+  EXPECT_LE(density.total_ns, detector.total_ns);
+
+  std::ostringstream out;
+  write_manifest_json(out, sim.config(), result, *sim.telemetry(), sim.network());
+  const JsonValue root = JsonValue::parse(out.str());
+  const auto& phases = root.at("profile").at("phases").array;
+  const auto entry = std::find_if(phases.begin(), phases.end(), [](const JsonValue& p) {
+    return p.at("name").string == "knot_density";
+  });
+  ASSERT_NE(entry, phases.end());
+  EXPECT_EQ(entry->at("calls").as_int(), density.calls);
 }
 
 TEST(Telemetry, RingBoundingSurfacesInArtifacts) {
