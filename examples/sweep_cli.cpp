@@ -41,6 +41,8 @@
 //       --workload 'pace:burst(200,0.2,4)' --forensics  # bursty workload
 #include <fstream>
 #include <iostream>
+#include <stdexcept>
+#include <string>
 
 #include "exp/cli.hpp"
 #include "flexnet.hpp"
@@ -55,12 +57,23 @@ int main(int argc, char** argv) {
     return 1;
   }
 
+  // Called once a path has read every option it uses: whatever is left is a
+  // typo or a removed flag, which must fail rather than run with defaults.
+  const auto reject_unread = [&] {
+    std::string names;
+    for (const std::string& name : opts->unread()) {
+      names += (names.empty() ? "--" : ", --") + name;
+    }
+    if (!names.empty()) throw std::invalid_argument("unknown option(s): " + names);
+  };
+
   try {
     const ExperimentConfig base = experiment_from_options(*opts);
 
     // Resuming is a single-run operation: the snapshot fixes the load and
     // every sim parameter, so the sweep collapses to one point.
     if (!base.snapshot.resume_path.empty()) {
+      reject_unread();
       Simulation sim(base);
       std::cout << "flexnet resume: " << base.snapshot.resume_path
                 << " @ cycle " << sim.network().now() << " of "
@@ -90,6 +103,7 @@ int main(int argc, char** argv) {
     // --route-table-dump FILE: build the network once, write its routing
     // tables as flexnet-rtable-v1, and exit (no sweep).
     if (opts->has("route-table-dump")) {
+      reject_unread();
       Simulation sim(base);
       const auto* table =
           dynamic_cast<const TableRouting*>(&sim.network().routing_algorithm());
@@ -108,6 +122,9 @@ int main(int argc, char** argv) {
     }
 
     const std::vector<double> loads = loads_from_options(*opts);
+    const std::string csv_path = opts->get("csv");
+    const std::string label = opts->get("label", "sweep");
+    reject_unread();
 
     std::cout << "flexnet sweep: " << to_string(base.sim.routing) << ", "
               << base.sim.vcs << " VC(s), ";
@@ -136,14 +153,13 @@ int main(int argc, char** argv) {
       print_load_series(std::cout, "cycles", results, cycle_columns());
     }
 
-    if (opts->has("csv")) {
-      std::ofstream out(opts->get("csv"));
+    if (!csv_path.empty()) {
+      std::ofstream out(csv_path);
       if (!out) {
-        throw std::runtime_error("cannot open CSV output file: " +
-                                 opts->get("csv"));
+        throw std::runtime_error("cannot open CSV output file: " + csv_path);
       }
-      write_results_csv(out, results, opts->get("label", "sweep"));
-      std::cout << "\nCSV written to " << opts->get("csv") << '\n';
+      write_results_csv(out, results, label);
+      std::cout << "\nCSV written to " << csv_path << '\n';
     }
 
     if (opts->get_bool("heatmap-ascii", false)) {

@@ -77,7 +77,9 @@ ExperimentConfig experiment_from_options(const Options& opts) {
   cfg.sim.topology.k = static_cast<int>(opts.get_int("k", cfg.sim.topology.k));
   cfg.sim.topology.n = static_cast<int>(opts.get_int("n", cfg.sim.topology.n));
   cfg.sim.topology.bidirectional = !opts.get_bool("uni", false);
-  cfg.sim.topology.wrap = topo_arg != "mesh" && !opts.get_bool("mesh", false);
+  // Read --mesh unconditionally: an option never read counts as unknown.
+  const bool mesh = opts.get_bool("mesh", false);
+  cfg.sim.topology.wrap = topo_arg != "mesh" && !mesh;
 
   cfg.sim.topo_nodes =
       static_cast<int>(opts.get_int("nodes", cfg.sim.topo_nodes));
@@ -189,18 +191,6 @@ ExperimentConfig experiment_from_options(const Options& opts) {
   if (!cfg.trace.forensics_dot_prefix.empty()) cfg.trace.forensics = true;
 
   cfg.telemetry.collect = opts.get_bool("telemetry", false);
-  const long long telemetry_interval =
-      opts.get_int("telemetry-interval", cfg.telemetry.interval);
-  if (telemetry_interval < 1) {
-    throw std::invalid_argument("--telemetry-interval must be >= 1");
-  }
-  cfg.telemetry.interval = telemetry_interval;
-  const long long telemetry_ring = opts.get_int(
-      "telemetry-ring", static_cast<long long>(cfg.telemetry.ring_capacity));
-  if (telemetry_ring < 1) {
-    throw std::invalid_argument("--telemetry-ring must be >= 1");
-  }
-  cfg.telemetry.ring_capacity = static_cast<std::size_t>(telemetry_ring);
   cfg.telemetry.manifest_path = opts.get("telemetry-json");
   cfg.telemetry.heatmap_csv_path = opts.get("heatmap");
 
@@ -211,7 +201,9 @@ ExperimentConfig experiment_from_options(const Options& opts) {
   if (metrics_interval < 1) {
     throw std::invalid_argument("--metrics-interval must be >= 1");
   }
+  // One cadence: the metrics stream and the heatmap occupancy integration.
   cfg.obs.interval = metrics_interval;
+  cfg.telemetry.interval = metrics_interval;
   cfg.obs.warn_threshold =
       opts.get_double("warn-threshold", cfg.obs.warn_threshold);
   if (cfg.obs.warn_threshold <= 0) {
@@ -234,10 +226,11 @@ ExperimentConfig experiment_from_options(const Options& opts) {
   cfg.snapshot.capture_dir = opts.get("capture-deadlocks");
   cfg.snapshot.capture_limit = static_cast<int>(
       opts.get_int("capture-limit", cfg.snapshot.capture_limit));
-  // Display-only flags still need the collectors running.
-  if (opts.get_bool("profile", false) || opts.get_bool("heatmap-ascii", false)) {
-    cfg.telemetry.collect = true;
-  }
+  // Display-only flags still need the collectors running. Both are read
+  // before the test so neither is left unread.
+  const bool profile = opts.get_bool("profile", false);
+  const bool heatmap_ascii = opts.get_bool("heatmap-ascii", false);
+  if (profile || heatmap_ascii) cfg.telemetry.collect = true;
 
   cfg.sim.validate();
   return cfg;

@@ -33,8 +33,9 @@ namespace flexnet {
 ///   --warmup --measure --check --step-dense
 ///   --trace-ring N --trace-chrome FILE --trace-bin FILE --forensics
 ///   --forensics-dot PREFIX
-///   --telemetry --telemetry-interval N --telemetry-ring N
-///   --telemetry-json FILE --heatmap FILE --profile --heatmap-ascii
+///   --telemetry --telemetry-json FILE --heatmap FILE --profile --heatmap-ascii
+///   --metrics FILE --metrics-collect --metrics-interval N --warn-threshold X
+///   --warn-stall-ref N
 /// Unspecified options keep the paper's defaults.
 [[nodiscard]] ExperimentConfig experiment_from_options(const Options& opts);
 

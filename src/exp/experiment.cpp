@@ -141,6 +141,9 @@ Simulation::Simulation(const ExperimentConfig& config)
 
   if (config_.telemetry.enabled()) {
     telemetry_ = std::make_unique<Telemetry>(config_.telemetry, *network_);
+    // The metrics collector is the run's only interval sampler; telemetry's
+    // manifest summarizes it. Its stream is written only with --metrics.
+    config_.obs.collect = true;
   }
 
   if (config_.obs.enabled()) {
@@ -303,12 +306,6 @@ ExperimentResult Simulation::run() {
     telemetry_->finalize(*network_, *detector_);
     TelemetryArtifacts& artifacts = result.telemetry;
     artifacts.enabled = true;
-    const IntervalRecorder& series = telemetry_->interval_series();
-    artifacts.interval_samples = series.size();
-    artifacts.samples_dropped = series.dropped();
-    for (std::size_t i = 0; i < series.size(); ++i) {
-      artifacts.deadlocks_in_series += series.at(i).deadlocks;
-    }
     artifacts.heatmap_ascii = telemetry_->heatmap().ascii_grid(
         *network_, SpatialHeatmap::Field::Traversals);
     artifacts.profile_table = telemetry_->profiler().table();

@@ -139,7 +139,8 @@ struct ExperimentResult {
   TelemetryArtifacts telemetry;
 
   /// Observability summary — precursor warnings, lead time, stream path
-  /// (all-default unless ObsConfig::enabled() was set).
+  /// (all-default unless ObsConfig::enabled() or TelemetryConfig::enabled()
+  /// was set).
   ObsArtifacts obs;
 
   /// Resume lineage (recorded in the telemetry manifest): the snapshot file
@@ -184,7 +185,7 @@ class Simulation {
   }
   /// Non-null iff TelemetryConfig::enabled().
   [[nodiscard]] Telemetry* telemetry() noexcept { return telemetry_.get(); }
-  /// Non-null iff ObsConfig::enabled().
+  /// Non-null iff ObsConfig::enabled() or TelemetryConfig::enabled().
   [[nodiscard]] ObsCollector* obs() noexcept { return obs_.get(); }
 
   /// Flushes every attached sink (also done by run() and the destructor).

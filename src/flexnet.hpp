@@ -43,7 +43,6 @@
 #include "snapshot/corpus.hpp"   // IWYU pragma: export
 #include "snapshot/snapshot.hpp" // IWYU pragma: export
 #include "telemetry/heatmap.hpp"   // IWYU pragma: export
-#include "telemetry/interval.hpp"  // IWYU pragma: export
 #include "telemetry/manifest.hpp"  // IWYU pragma: export
 #include "telemetry/profiler.hpp"  // IWYU pragma: export
 #include "telemetry/telemetry.hpp" // IWYU pragma: export

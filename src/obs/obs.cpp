@@ -94,6 +94,14 @@ void ObsCollector::sample_now(const Network& net, const DeadlockDetector& detect
   s.latency_p99 = latency_hist_.p99();
   s.latency_p999 = latency_hist_.p999();
   s.latency_max = latency_hist_.max();
+  s.generated = c.generated;
+  s.injected = c.injected;
+  s.flits_delivered = c.flits_delivered;
+  s.delivered_latency_sum = c.delivered_latency_sum;
+  s.invocations = detector.invocations();
+  s.deadlocks = detector.total_deadlocks();
+  s.transient_knots = detector.transient_knots();
+  s.livelocks = detector.livelocks();
 
   // One scan over the active messages covers arcs, stall ages, and the
   // blocked-component union-find. Generation marks reset the scratch.
@@ -244,6 +252,14 @@ void ObsCollector::emit_record(const ObsSample& s) {
   json.field("latency_p99", s.latency_p99);
   json.field("latency_p999", s.latency_p999);
   json.field("latency_max", s.latency_max);
+  json.field("generated", s.generated);
+  json.field("injected", s.injected);
+  json.field("flits_delivered", s.flits_delivered);
+  json.field("delivered_latency_sum", s.delivered_latency_sum);
+  json.field("invocations", s.invocations);
+  json.field("deadlocks", s.deadlocks);
+  json.field("transient_knots", s.transient_knots);
+  json.field("livelocks", s.livelocks);
   json.field("blocked", s.blocked);
   json.field("max_stall_age", s.max_stall_age);
   json.field("stall_hwm", s.stall_hwm);

@@ -25,15 +25,19 @@
 //    samples are stored;
 //  * an activity census: how many routers, VCs and sources are actually
 //    doing work at the sampling instant (the measurement baseline for the
-//    event-driven-core roadmap item).
+//    event-driven-core roadmap item);
+//  * the run's cumulative flow and detector counters (generated, injected,
+//    flits, latency sum; detector invocations, deadlocks, transient knots,
+//    livelocks) — readers diff adjacent records for the per-interval view.
 //
-// Every sample is appended to a deterministic `flexnet-metrics-v1` NDJSON
-// stream (one compact JSON record per line, flushed per record so
-// `metrics_tail --follow` can watch a live run), and a cumulative summary is
-// folded into the telemetry manifest. The collector's cumulative state is
-// serialized into snapshot section 10, so a resumed run continues the stream
-// bit-exactly. Disabled cost inside the simulator: one null-pointer branch
-// at the delivery hook, nothing else.
+// It is the run's only interval sampler: Simulation runs one whenever
+// metrics or telemetry are on. Every sample is appended to a deterministic
+// `flexnet-metrics-v2` NDJSON stream (one compact JSON record per line,
+// flushed per record so `metrics_tail --follow` can watch a live run), and a
+// cumulative summary is folded into the telemetry manifest. The collector's
+// cumulative state is serialized into snapshot section 10, so a resumed run
+// continues the stream bit-exactly. Disabled cost inside the simulator: one
+// null-pointer branch at the delivery hook, nothing else.
 #pragma once
 
 #include <array>
@@ -52,12 +56,12 @@ namespace flexnet {
 
 class JsonWriter;
 
-inline constexpr std::string_view kMetricsSchema = "flexnet-metrics-v1";
+inline constexpr std::string_view kMetricsSchema = "flexnet-metrics-v2";
 
 struct ObsConfig {
   /// Master switch; a metrics path also enables collection.
   bool collect = false;
-  /// Append the flexnet-metrics-v1 NDJSON stream here (--metrics).
+  /// Append the flexnet-metrics-v2 NDJSON stream here (--metrics).
   std::string metrics_path;
   /// Sampling stride in cycles (--metrics-interval).
   Cycle interval = 100;
@@ -88,6 +92,22 @@ struct ObsSample {
   double latency_p99 = 0.0;
   double latency_p999 = 0.0;
   std::int64_t latency_max = 0;
+
+  // Cumulative run counters (Network::counters() and the detector), read as
+  // they stand at the sample; adjacent records diff to per-interval values.
+  // The detector's deadlocks/transient_knots/livelocks restart from zero at
+  // the end of warmup (DeadlockDetector::reset_statistics()). Its skipped-pass
+  // count is left out: it depends on a process-local cache that is cold
+  // after --resume, so it would break the stream's resume byte-identity (the
+  // run total is in the manifest's result.detector block).
+  std::int64_t generated = 0;
+  std::int64_t injected = 0;
+  std::int64_t flits_delivered = 0;
+  std::int64_t delivered_latency_sum = 0;
+  std::int64_t invocations = 0;
+  std::int64_t deadlocks = 0;
+  std::int64_t transient_knots = 0;
+  std::int64_t livelocks = 0;
 
   // Stall ages at the sampling instant.
   std::int32_t blocked = 0;

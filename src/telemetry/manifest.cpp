@@ -99,12 +99,6 @@ void write_config(JsonWriter& json, const ExperimentConfig& cfg) {
   json.field("sample_every", cfg.run.sample_every);
   json.end_object();
 
-  json.key("telemetry").begin_object();
-  json.field("interval", cfg.telemetry.interval);
-  json.field("ring_capacity",
-             static_cast<std::uint64_t>(cfg.telemetry.ring_capacity));
-  json.end_object();
-
   json.end_object();
 }
 
@@ -145,44 +139,6 @@ void write_window(JsonWriter& json, const WindowMetrics& w) {
     json.end_object();
   }
   json.end_object();
-  json.end_object();
-}
-
-void write_series(JsonWriter& json, const IntervalRecorder& series) {
-  json.key("series").begin_object();
-  json.field("interval", series.interval());
-  json.field("capacity", static_cast<std::uint64_t>(series.capacity()));
-  json.field("total_samples", series.total_samples());
-  json.field("dropped", series.dropped());
-  json.key("samples").begin_array();
-  for (std::size_t i = 0; i < series.size(); ++i) {
-    const IntervalSample& s = series.at(i);
-    json.begin_object();
-    json.field("cycle", s.cycle);
-    json.field("generated", s.generated);
-    json.field("injected", s.injected);
-    json.field("delivered", s.delivered);
-    json.field("recovered", s.recovered);
-    json.field("flits_delivered", s.flits_delivered);
-    json.field("throughput_flits_per_node", s.throughput_flits_per_node);
-    json.field("avg_latency", s.avg_latency);
-    json.field("blocked", s.blocked);
-    json.field("blocked_fraction", s.blocked_fraction);
-    json.field("in_network", s.in_network);
-    json.field("queued", s.queued);
-    json.field("cwg_ownership_arcs", s.cwg_ownership_arcs);
-    json.field("cwg_request_arcs", s.cwg_request_arcs);
-    json.field("detector_invocations", s.detector_invocations);
-    json.field("detector_skipped", s.detector_skipped);
-    json.field("deadlocks", s.deadlocks);
-    json.field("transient_knots", s.transient_knots);
-    json.field("livelocks", s.livelocks);
-    json.key("class_delivered").begin_array();
-    for (const std::int64_t n : s.class_delivered) json.value(n);
-    json.end_array();
-    json.end_object();
-  }
-  json.end_array();
   json.end_object();
 }
 
@@ -287,12 +243,12 @@ void write_manifest_json(std::ostream& out, const ExperimentConfig& config,
   json.field("capture_dropped", result.capture_dropped);
   json.end_object();
 
-  write_series(json, telemetry.interval_series());
   write_heatmap_summary(json, telemetry.heatmap(), net);
   write_profile(json, telemetry.profiler());
 
   // Observability summary: the NDJSON stream's final record, folded into the
   // manifest so one artifact answers "did this run warn, and how early?".
+  // The interval series itself lives only in the stream at "path".
   if (obs != nullptr) {
     json.key("metrics").begin_object();
     if (!obs->config().metrics_path.empty()) {

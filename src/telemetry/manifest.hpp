@@ -1,7 +1,7 @@
 // The JSON run manifest: one machine-readable artifact per experiment
 // capturing everything needed to interpret (and re-run) it — configuration
-// and seed, window metrics, the interval time series, a heatmap summary, the
-// phase profile, and build provenance. Schema "flexnet-telemetry-v1"; field
+// and seed, window metrics, a heatmap summary, the phase profile, the metrics
+// stream's summary with a pointer to the stream, and build provenance. Schema "flexnet-telemetry-v1"; field
 // names are stable and documented in DESIGN.md. Identical (config, seed)
 // runs produce byte-identical manifests except under "profile", whose
 // wall-clock numbers are inherently non-deterministic.

@@ -1,5 +1,7 @@
 #include "telemetry/telemetry.hpp"
 
+#include <stdexcept>
+
 #include "core/detector.hpp"
 #include "sim/network.hpp"
 
@@ -15,9 +17,11 @@ TelemetryConfig TelemetryConfig::with_point_suffix(std::size_t point) const {
 
 Telemetry::Telemetry(const TelemetryConfig& config, const Network& net)
     : config_(config),
-      interval_(config.interval, config.ring_capacity),
       heatmap_(net),
       next_sample_(net.now() + config.interval) {
+  if (config.interval < 1) {
+    throw std::invalid_argument("telemetry interval must be >= 1");
+  }
   last_sample_ = net.now();
 }
 
@@ -28,9 +32,7 @@ void Telemetry::contribute_hooks(NetworkHooks& hooks,
   detector.set_profiler(&profiler_);
 }
 
-void Telemetry::sample_now(const Network& net,
-                           const DeadlockDetector& detector) {
-  interval_.sample(net, detector);
+void Telemetry::sample_now(const Network& net) {
   heatmap_.sample_occupancy(net, net.now() - last_sample_);
   last_sample_ = net.now();
   next_sample_ = net.now() + config_.interval;

@@ -1,19 +1,18 @@
-// Run-scoped telemetry: one object bundling the three collectors —
-// IntervalRecorder (time series), SpatialHeatmap (where congestion sits),
-// PhaseProfiler (where wall-clock time goes) — plus the configuration that
-// turns them on. Simulation owns a Telemetry when TelemetryConfig::enabled()
+// Run-scoped telemetry: one object bundling two collectors — SpatialHeatmap
+// (where congestion sits) and PhaseProfiler (where wall-clock time goes) —
+// plus the configuration that turns them on. The time series lives in the
+// metrics stream (obs/obs.hpp): Simulation runs an ObsCollector whenever
+// telemetry is on. Simulation owns a Telemetry when TelemetryConfig::enabled()
 // and wires its probes into the network and detector; with telemetry off the
 // simulator pays exactly the tracer's price: one null-pointer branch per
 // instrumentation point.
 #pragma once
 
-#include <cstdint>
 #include <string>
 
 #include "sim/network.hpp"
 #include "sim/types.hpp"
 #include "telemetry/heatmap.hpp"
-#include "telemetry/interval.hpp"
 #include "telemetry/profiler.hpp"
 
 namespace flexnet {
@@ -23,10 +22,9 @@ class DeadlockDetector;
 struct TelemetryConfig {
   /// Master switch; any output path below also enables collection.
   bool collect = false;
-  /// Sampling stride in cycles (interval series + heatmap occupancy).
+  /// Heatmap occupancy stride in cycles. experiment_from_options sets it
+  /// from --metrics-interval, so it matches the metrics stream's cadence.
   Cycle interval = 100;
-  /// Interval samples retained (ring-bounded; older samples are dropped).
-  std::size_t ring_capacity = 4096;
   /// Write the JSON run manifest here (--telemetry-json).
   std::string manifest_path;
   /// Write the heatmap counter CSV here (--heatmap).
@@ -45,9 +43,6 @@ struct TelemetryConfig {
 /// cheap, preformatted summaries plus the paths of any files written.
 struct TelemetryArtifacts {
   bool enabled = false;
-  std::size_t interval_samples = 0;   ///< Retained in the ring.
-  std::uint64_t samples_dropped = 0;  ///< Overwritten by ring bounding.
-  std::int64_t deadlocks_in_series = 0;
   std::string manifest_path;     ///< Empty when no manifest was written.
   std::string heatmap_csv_path;  ///< Empty when no CSV was written.
   std::string heatmap_ascii;     ///< Traversal grid; empty unless 2D.
@@ -66,23 +61,21 @@ class Telemetry {
   void contribute_hooks(NetworkHooks& hooks, DeadlockDetector& detector);
 
   /// Per-cycle driver hook (call after Network::step() + detector tick);
-  /// samples the collectors whenever the configured interval elapses.
-  void tick(const Network& net, const DeadlockDetector& detector) {
+  /// integrates heatmap occupancy whenever the configured interval elapses.
+  /// The detector is unused; the driver calls every collector alike.
+  void tick(const Network& net, const DeadlockDetector& /*detector*/) {
     if (net.now() < next_sample_) return;
-    sample_now(net, detector);
+    sample_now(net);
   }
 
-  /// Forces a final sample covering any residual partial interval, so the
-  /// series and heatmap occupancy account for every cycle of the run.
-  void finalize(const Network& net, const DeadlockDetector& detector) {
-    if (net.now() > last_sample_) sample_now(net, detector);
+  /// Forces a final sample covering any residual partial interval, so
+  /// heatmap occupancy accounts for every cycle of the run.
+  void finalize(const Network& net, const DeadlockDetector& /*detector*/) {
+    if (net.now() > last_sample_) sample_now(net);
   }
 
   [[nodiscard]] const TelemetryConfig& config() const noexcept {
     return config_;
-  }
-  [[nodiscard]] const IntervalRecorder& interval_series() const noexcept {
-    return interval_;
   }
   [[nodiscard]] const SpatialHeatmap& heatmap() const noexcept {
     return heatmap_;
@@ -94,10 +87,9 @@ class Telemetry {
   [[nodiscard]] PhaseProfiler& profiler() noexcept { return profiler_; }
 
  private:
-  void sample_now(const Network& net, const DeadlockDetector& detector);
+  void sample_now(const Network& net);
 
   TelemetryConfig config_;
-  IntervalRecorder interval_;
   SpatialHeatmap heatmap_;
   PhaseProfiler profiler_;
   Cycle next_sample_;

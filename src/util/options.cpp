@@ -48,17 +48,31 @@ std::optional<Options> Options::parse(int argc, const char* const* argv,
   return opts;
 }
 
+Options::Values::const_iterator Options::lookup(std::string_view name) const {
+  const auto it = values_.find(name);
+  if (it != values_.end()) read_.insert(it->first);
+  return it;
+}
+
+std::vector<std::string> Options::unread() const {
+  std::vector<std::string> names;
+  for (const auto& [name, value] : values_) {
+    if (read_.find(name) == read_.end()) names.push_back(name);
+  }
+  return names;
+}
+
 bool Options::has(std::string_view name) const {
-  return values_.find(name) != values_.end();
+  return lookup(name) != values_.end();
 }
 
 std::string Options::get(std::string_view name, std::string def) const {
-  const auto it = values_.find(name);
+  const auto it = lookup(name);
   return it == values_.end() ? std::move(def) : it->second;
 }
 
 long long Options::get_int(std::string_view name, long long def) const {
-  const auto it = values_.find(name);
+  const auto it = lookup(name);
   if (it == values_.end()) return def;
   const std::string& v = it->second;
   long long value = 0;
@@ -75,7 +89,7 @@ long long Options::get_int(std::string_view name, long long def) const {
 }
 
 double Options::get_double(std::string_view name, double def) const {
-  const auto it = values_.find(name);
+  const auto it = lookup(name);
   if (it == values_.end()) return def;
   const std::string& v = it->second;
   errno = 0;
@@ -89,7 +103,7 @@ double Options::get_double(std::string_view name, double def) const {
 }
 
 bool Options::get_bool(std::string_view name, bool def) const {
-  const auto it = values_.find(name);
+  const auto it = lookup(name);
   if (it == values_.end()) return def;
   const std::string& v = it->second;
   return v == "1" || v == "true" || v == "yes" || v == "on";

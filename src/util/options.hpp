@@ -6,6 +6,7 @@
 
 #include <map>
 #include <optional>
+#include <set>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -33,9 +34,20 @@ class Options {
     return positional_;
   }
 
+  /// Options given on the command line that no has()/get*() call has looked
+  /// up yet, in name order. A binary that has read every option it uses
+  /// rejects these, so a typo or a removed flag fails instead of running
+  /// silently with defaults.
+  [[nodiscard]] std::vector<std::string> unread() const;
+
  private:
-  std::map<std::string, std::string, std::less<>> values_;
+  using Values = std::map<std::string, std::string, std::less<>>;
+  /// values_.find(name), recording the lookup for unread().
+  [[nodiscard]] Values::const_iterator lookup(std::string_view name) const;
+
+  Values values_;
   std::vector<std::string> positional_;
+  mutable std::set<std::string, std::less<>> read_;
 };
 
 /// Reads a scale factor from the FLEXNET_BENCH_SCALE environment variable

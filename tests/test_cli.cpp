@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 namespace flexnet {
 namespace {
@@ -127,6 +129,35 @@ TEST(Cli, LoadsSweepParsing) {
 TEST(Cli, MalformedLoadsRejected) {
   EXPECT_THROW((void)loads_from_options(parse({"--loads", "abc"})),
                std::invalid_argument);
+}
+
+TEST(Cli, MetricsIntervalIsTheOneCadence) {
+  const ExperimentConfig cfg =
+      experiment_from_options(parse({"--metrics-interval", "25"}));
+  EXPECT_EQ(cfg.obs.interval, 25);
+  EXPECT_EQ(cfg.telemetry.interval, 25);  // heatmap occupancy stride
+  EXPECT_THROW((void)experiment_from_options(parse({"--metrics-interval", "0"})),
+               std::invalid_argument);
+}
+
+TEST(Cli, UnreadOptionsAreReported) {
+  // Typos and removed flags are left unread once the config is built, so
+  // sweep_cli can name them instead of running with defaults.
+  const Options opts =
+      parse({"--k", "4", "--metrics-intreval", "7", "--telemetry-interval",
+             "50", "--telemetry-ring", "8", "--no-such-flag", "5", "--loads",
+             "0.1", "--profile", "--heatmap-ascii", "--mesh", "--topology",
+             "mesh"});
+  (void)experiment_from_options(opts);
+  (void)loads_from_options(opts);
+  EXPECT_EQ(opts.unread(),
+            (std::vector<std::string>{"metrics-intreval", "no-such-flag",
+                                      "telemetry-interval", "telemetry-ring"}));
+
+  const Options clean = parse({"--k", "4", "--loads", "0.1"});
+  (void)experiment_from_options(clean);
+  (void)loads_from_options(clean);
+  EXPECT_TRUE(clean.unread().empty());
 }
 
 }  // namespace

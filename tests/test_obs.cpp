@@ -1,5 +1,5 @@
 // Observability layer: LogHistogram units, the ObsCollector's
-// flexnet-metrics-v1 NDJSON stream contract, its snapshot codec, and the
+// flexnet-metrics-v2 NDJSON stream contract, its snapshot codec, and the
 // degree-ordered ASCII heatmap fallback for irregular topologies (golden
 // against the committed examples/topologies/irregular-16.topo).
 #include <gtest/gtest.h>
@@ -162,6 +162,7 @@ TEST(ObsStream, WellFormedHeaderSamplesAndFinalRecord) {
   EXPECT_EQ(header.at("nodes").number, 64.0);
 
   Cycle prev_cycle = 0;
+  std::int64_t prev_generated = 0;
   std::size_t samples = 0;
   for (std::size_t i = 1; i + 1 < lines.size(); ++i) {
     const JsonValue rec = JsonValue::parse(lines[i]);
@@ -171,8 +172,17 @@ TEST(ObsStream, WellFormedHeaderSamplesAndFinalRecord) {
     prev_cycle = cycle;
     EXPECT_NE(rec.find("score"), nullptr);
     EXPECT_NE(rec.find("active_routers"), nullptr);
+    // v2 run counters are cumulative: they never go down.
+    EXPECT_GE(rec.at("generated").as_int(), prev_generated) << "line " << i + 1;
+    prev_generated = rec.at("generated").as_int();
+    for (const char* field : {"injected", "flits_delivered",
+                              "delivered_latency_sum", "invocations",
+                              "deadlocks", "transient_knots", "livelocks"}) {
+      EXPECT_NE(rec.find(field), nullptr) << field;
+    }
     ++samples;
   }
+  EXPECT_GT(prev_generated, 0);
   EXPECT_EQ(samples, result.obs.samples);
   EXPECT_EQ(samples, 10u);  // 1000 cycles / 100-cycle stride.
 

@@ -8,11 +8,11 @@
 #include <stdexcept>
 
 #include "core/detector.hpp"
+#include "obs/obs.hpp"
 #include "routing/routing.hpp"
 #include "routing/selection.hpp"
 #include "sim/network.hpp"
 #include "topo/torus.hpp"
-#include "telemetry/interval.hpp"
 
 namespace flexnet {
 namespace {
@@ -96,8 +96,8 @@ TEST(MultiKnotRecovery, OnePassResolvesTwoDisjointKnots) {
   // Two disjoint ring deadlocks — rows 0 and 2 of a 4x4 unidirectional torus
   // each closed by four 2-hop messages — confirmed in a single detector
   // pass. Victim selection must resolve BOTH knots (one removal each), the
-  // survivors must drain, and the telemetry interval series must account for
-  // exactly two recoveries.
+  // survivors must drain, and the metrics sample covering the pass must
+  // account for exactly two recoveries.
   SimConfig cfg;
   cfg.topology.k = 4;
   cfg.topology.n = 2;
@@ -119,10 +119,10 @@ TEST(MultiKnotRecovery, OnePassResolvesTwoDisjointKnots) {
   DetectorConfig det_cfg;
   det_cfg.recovery = RecoveryKind::RemoveOldest;
   DeadlockDetector detector(det_cfg, 1);
-  IntervalRecorder series(/*interval=*/1, /*capacity=*/8);
+  ObsCollector metrics(ObsConfig{}, net);
 
   ASSERT_EQ(detector.run_detection(net), 2);
-  series.sample(net, detector);
+  metrics.sample(net, detector);
 
   // One victim per knot, each drawn from a different ring.
   ASSERT_EQ(detector.records().size(), 2u);
@@ -136,11 +136,11 @@ TEST(MultiKnotRecovery, OnePassResolvesTwoDisjointKnots) {
       std::find(ring_a.begin(), ring_a.end(), victim1) != ring_a.end();
   EXPECT_NE(v0_in_a, v1_in_a);  // one victim from each disjoint knot
 
-  // Telemetry: the interval covering the pass counts both recoveries and
-  // both confirmed deadlocks.
-  ASSERT_EQ(series.size(), 1u);
-  EXPECT_EQ(series.at(0).recovered, 2);
-  EXPECT_EQ(series.at(0).deadlocks, 2);
+  // Metrics: the sample covering the pass counts both recoveries and both
+  // confirmed deadlocks.
+  ASSERT_EQ(metrics.samples_recorded(), 1u);
+  EXPECT_EQ(metrics.last_sample().recovered, 2);
+  EXPECT_EQ(metrics.last_sample().deadlocks, 2);
 
   // With both knots broken the remaining six messages drain on their own —
   // no further detector intervention.

@@ -3,13 +3,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <fstream>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "core/detector.hpp"
 #include "exp/experiment.hpp"
+#include "obs/obs.hpp"
 #include "routing/routing.hpp"
 #include "routing/selection.hpp"
 #include "telemetry/manifest.hpp"
@@ -37,56 +41,41 @@ Cycle run_until_delivered(Network& net, Cycle limit = 1000) {
   return net.now();
 }
 
-// --- IntervalRecorder ------------------------------------------------------
+// --- the interval sample (ObsCollector) ---------------------------------
 
-TEST(IntervalRecorder, RejectsNonPositiveInterval) {
-  EXPECT_THROW(IntervalRecorder(0, 8), std::invalid_argument);
+TEST(Telemetry, RejectsNonPositiveInterval) {
+  auto net = make_network(torus_4x4());
+  TelemetryConfig cfg;
+  cfg.interval = 0;
+  EXPECT_THROW(Telemetry(cfg, *net), std::invalid_argument);
 }
 
-TEST(IntervalRecorder, RingBoundsRetainedSamples) {
+TEST(MetricsSample, SamplesCountIntervalFlow) {
   auto net = make_network(torus_4x4());
   DeadlockDetector detector(DetectorConfig{}, 1);
-  IntervalRecorder recorder(10, 4);
-
-  for (int i = 0; i < 10; ++i) {
-    for (int c = 0; c < 10; ++c) net->step();
-    recorder.sample(*net, detector);
-  }
-
-  EXPECT_EQ(recorder.capacity(), 4u);
-  EXPECT_EQ(recorder.size(), 4u);
-  EXPECT_EQ(recorder.total_samples(), 10u);
-  EXPECT_EQ(recorder.dropped(), 6u);
-  // Oldest-first iteration: the four youngest samples survive.
-  EXPECT_EQ(recorder.at(0).cycle, 70);
-  EXPECT_EQ(recorder.at(3).cycle, 100);
-}
-
-TEST(IntervalRecorder, SamplesCountIntervalFlow) {
-  auto net = make_network(torus_4x4());
-  DeadlockDetector detector(DetectorConfig{}, 1);
-  IntervalRecorder recorder(100, 16);
+  ObsCollector collector(ObsConfig{}, *net);
 
   net->enqueue_message(0, 5, 4);
   run_until_delivered(*net);
   while (net->now() < 100) net->step();
-  recorder.sample(*net, detector);
+  collector.sample(*net, detector);
 
-  ASSERT_EQ(recorder.size(), 1u);
-  const IntervalSample& s = recorder.at(0);
-  EXPECT_EQ(s.cycle, 100);
-  EXPECT_EQ(s.delivered, 1);
-  EXPECT_EQ(s.flits_delivered, 4);
-  EXPECT_GT(s.avg_latency, 0.0);
-  EXPECT_EQ(s.in_network, 0);
-  EXPECT_EQ(s.blocked, 0);
-  EXPECT_EQ(s.cwg_ownership_arcs, 0);
+  ASSERT_EQ(collector.samples_recorded(), 1u);
+  const ObsSample first = collector.last_sample();
+  EXPECT_EQ(first.cycle, 100);
+  EXPECT_EQ(first.delivered, 1);
+  EXPECT_EQ(first.flits_delivered, 4);
+  EXPECT_GT(first.delivered_latency_sum, 0);
+  EXPECT_EQ(first.in_network, 0);
+  EXPECT_EQ(first.blocked, 0);
+  EXPECT_EQ(first.ownership_arcs, 0);
 
-  // The next sample covers an idle interval: all-zero flow.
+  // The next sample covers an idle interval: no deliveries, and the
+  // cumulative flit counter does not move.
   while (net->now() < 200) net->step();
-  recorder.sample(*net, detector);
-  EXPECT_EQ(recorder.at(1).delivered, 0);
-  EXPECT_DOUBLE_EQ(recorder.at(1).throughput_flits_per_node, 0.0);
+  collector.sample(*net, detector);
+  EXPECT_EQ(collector.last_sample().delivered, 0);
+  EXPECT_EQ(collector.last_sample().flits_delivered - first.flits_delivered, 0);
 }
 
 // --- SpatialHeatmap --------------------------------------------------------
@@ -250,6 +239,7 @@ ExperimentConfig telemetry_config() {
   cfg.run.measure = 1000;
   cfg.telemetry.collect = true;
   cfg.telemetry.interval = 50;
+  cfg.obs.interval = 50;
   return cfg;
 }
 
@@ -258,7 +248,7 @@ std::string run_and_write_manifest(const ExperimentConfig& cfg) {
   const ExperimentResult result = sim.run();
   std::ostringstream out;
   write_manifest_json(out, sim.config(), result, *sim.telemetry(),
-                      sim.network());
+                      sim.network(), sim.obs());
   return out.str();
 }
 
@@ -276,12 +266,16 @@ TEST(Telemetry, SimulationCollectsSeriesAndProfile) {
   ASSERT_NE(sim.telemetry(), nullptr);
   EXPECT_EQ(sim.network().hooks().heatmap, &sim.telemetry()->heatmap());
   EXPECT_EQ(sim.network().hooks().profiler, &sim.telemetry()->profiler());
+  // Telemetry alone turns the interval sampler on, without a stream.
+  ASSERT_NE(sim.obs(), nullptr);
+  EXPECT_EQ(sim.network().hooks().obs, sim.obs());
 
   const ExperimentResult result = sim.run();
   EXPECT_TRUE(result.telemetry.enabled);
   // 1200 cycles at interval 50 -> 24 samples.
-  EXPECT_EQ(result.telemetry.interval_samples, 24u);
-  EXPECT_EQ(result.telemetry.samples_dropped, 0u);
+  EXPECT_TRUE(result.obs.enabled);
+  EXPECT_EQ(result.obs.samples, 24u);
+  EXPECT_TRUE(result.obs.metrics_path.empty());
   EXPECT_FALSE(result.telemetry.heatmap_ascii.empty());
   EXPECT_NE(result.telemetry.profile_table.find("transmit"),
             std::string::npos);
@@ -317,15 +311,6 @@ TEST(Telemetry, KnotDensityIsTimedInsideTheDetector) {
   EXPECT_EQ(entry->at("calls").as_int(), density.calls);
 }
 
-TEST(Telemetry, RingBoundingSurfacesInArtifacts) {
-  ExperimentConfig cfg = telemetry_config();
-  cfg.telemetry.ring_capacity = 4;
-  Simulation sim(cfg);
-  const ExperimentResult result = sim.run();
-  EXPECT_EQ(result.telemetry.interval_samples, 4u);
-  EXPECT_EQ(result.telemetry.samples_dropped, 20u);
-}
-
 TEST(Telemetry, DisabledSimulationHasNoProbes) {
   ExperimentConfig cfg = telemetry_config();
   cfg.telemetry = TelemetryConfig{};
@@ -333,8 +318,10 @@ TEST(Telemetry, DisabledSimulationHasNoProbes) {
   EXPECT_EQ(sim.telemetry(), nullptr);
   EXPECT_EQ(sim.network().hooks().heatmap, nullptr);
   EXPECT_EQ(sim.network().hooks().profiler, nullptr);
+  EXPECT_EQ(sim.obs(), nullptr);
   const ExperimentResult result = sim.run();
   EXPECT_FALSE(result.telemetry.enabled);
+  EXPECT_FALSE(result.obs.enabled);
 }
 
 TEST(Telemetry, ManifestParsesWithFullSchema) {
@@ -354,20 +341,70 @@ TEST(Telemetry, ManifestParsesWithFullSchema) {
   EXPECT_GE(det.at("skipped_passes").as_int(), 0);
   EXPECT_LE(det.at("skipped_passes").as_int(), det.at("invocations").as_int());
 
-  const JsonValue& series = root.at("series");
-  EXPECT_EQ(series.at("interval").as_int(), 50);
-  ASSERT_EQ(series.at("samples").array.size(), 24u);
-  const JsonValue& sample = series.at("samples").array.front();
-  EXPECT_EQ(sample.at("cycle").as_int(), 50);  // warmup ramp is part of the series
-  EXPECT_NE(sample.find("cwg_request_arcs"), nullptr);
-  ASSERT_NE(sample.find("detector_skipped"), nullptr);
-  EXPECT_GE(sample.at("detector_skipped").as_int(), 0);
-  EXPECT_LE(sample.at("detector_skipped").as_int(),
-            sample.at("detector_invocations").as_int());
+  // One series, in the metrics stream: the manifest carries its summary
+  // and no second copy.
+  EXPECT_EQ(root.find("series"), nullptr);
+  EXPECT_EQ(root.at("config").find("telemetry"), nullptr);
+  const JsonValue& metrics = root.at("metrics");
+  EXPECT_EQ(metrics.find("path"), nullptr);  // telemetry-only: no stream
+  EXPECT_EQ(metrics.at("interval").as_int(), 50);
+  EXPECT_EQ(metrics.at("samples").as_int(), 24);
 
   EXPECT_GT(root.at("heatmap").at("total_traversals").as_int(), 0);
   EXPECT_FALSE(root.at("heatmap").at("hot_channels").array.empty());
   EXPECT_EQ(root.at("profile").at("phases").array.size(), kNumSimPhases);
+}
+
+TEST(Telemetry, StreamRecordsDeriveTheWindowFlow) {
+  // The v2 record carries cumulative counters; diffing the records that
+  // bracket the measured window [200, 1200] must reproduce WindowMetrics
+  // exactly, with the formulas DESIGN.md gives.
+  const std::string path = ::testing::TempDir() + "flexnet_telemetry_flow.ndjson";
+  ExperimentConfig cfg = telemetry_config();
+  cfg.obs.metrics_path = path;
+  const ExperimentResult result = run_experiment(cfg);
+
+  std::ifstream in(path, std::ios::binary);
+  ASSERT_TRUE(in);
+  std::string line;
+  ASSERT_TRUE(std::getline(in, line));
+  const JsonValue header = JsonValue::parse(line);
+  std::vector<JsonValue> records;
+  while (std::getline(in, line)) {
+    JsonValue rec = JsonValue::parse(line);
+    if (rec.find("final") == nullptr) records.push_back(std::move(rec));
+  }
+  ASSERT_EQ(records.size(), 24u);
+  const JsonValue& start = records[3];  // cycle 200, end of warmup
+  const JsonValue& end = records.back();
+  ASSERT_EQ(start.at("cycle").as_int(), 200);
+  ASSERT_EQ(end.at("cycle").as_int(), 1200);
+
+  const auto diff = [&](const char* field) {
+    return end.at(field).as_int() - start.at(field).as_int();
+  };
+  std::int64_t delivered = 0;
+  for (std::size_t i = 4; i < records.size(); ++i) {
+    delivered += records[i].at("delivered").as_int();
+  }
+  const WindowMetrics& w = result.window;
+  EXPECT_EQ(diff("generated"), w.generated);
+  EXPECT_EQ(diff("injected"), w.injected);
+  EXPECT_EQ(delivered, w.delivered);
+  EXPECT_EQ(diff("flits_delivered"), w.flits_delivered);
+  const double throughput =
+      static_cast<double>(diff("flits_delivered")) /
+      (header.at("nodes").number * static_cast<double>(diff("cycle")));
+  EXPECT_DOUBLE_EQ(throughput, w.throughput_flits_per_node);
+  ASSERT_GT(delivered, 0);
+  EXPECT_DOUBLE_EQ(static_cast<double>(diff("delivered_latency_sum")) /
+                       static_cast<double>(delivered),
+                   w.avg_latency);
+  // The detector's verdict counters restart at the end of warmup, so the
+  // last record holds the window's totals.
+  EXPECT_EQ(end.at("deadlocks").as_int(), w.deadlocks);
+  EXPECT_GT(diff("invocations"), 0);
+  std::remove(path.c_str());
 }
 
 TEST(Telemetry, ManifestDeterministicModuloProfile) {

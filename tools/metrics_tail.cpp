@@ -1,5 +1,5 @@
-// metrics_tail: watch or summarize a flexnet-metrics-v1 NDJSON stream
-// written by `--metrics` (ObsCollector).
+// metrics_tail: validate, watch or summarize a flexnet-metrics-v2 NDJSON
+// stream written by `--metrics` (ObsCollector).
 //
 //   ./tools/metrics_tail run.ndjson            # print records as a table
 //   ./tools/metrics_tail run.ndjson --follow   # keep polling for new records
@@ -9,15 +9,18 @@
 //
 // The table leads with the precursor columns — score, warning, stall age,
 // blocked-component size — because the whole point of the stream is seeing a
-// deadlock form before the detector confirms it. Malformed lines fail with
-// "<path>:<line>: <reason>" and exit 1, same contract as telemetry_dump
-// --metrics.
+// deadlock form before the detector confirms it. Every line is validated:
+// truncated or garbage JSON, a missing or unknown schema header, a sample
+// record without "cycle", or any record after the final summary fails with
+// "<path>:<line>: <reason>" and exit 1, so CI can gate on stream integrity.
 #include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <string>
 #include <thread>
 
+#include "obs/obs.hpp"
+#include "sim/message_class.hpp"
 #include "util/json.hpp"
 #include "util/options.hpp"
 
@@ -51,20 +54,19 @@ void print_header_line(const JsonValue& header) {
               "classes");
 }
 
-// Message-class names in class_delivered index order (sim/message_class.hpp).
-constexpr const char* kClassNames[] = {"bulk", "burst", "interactive",
-                                       "control"};
-
-// Compact nonzero per-class delivery summary, e.g. "bulk=41 burst=9".
+// Compact nonzero per-class delivery summary, e.g. "bulk=41 burst=9";
+// class_delivered is in class_index order.
 std::string class_summary(const JsonValue& rec) {
   const JsonValue* classes = rec.find("class_delivered");
   if (classes == nullptr || !classes->is_array()) return "";
   std::string out;
-  for (std::size_t k = 0; k < classes->array.size() && k < 4; ++k) {
+  for (const flexnet::MessageClass cls : flexnet::all_message_classes()) {
+    const std::size_t k = flexnet::class_index(cls);
+    if (k >= classes->array.size()) break;
     const long long n = classes->array[k].as_int();
     if (n == 0) continue;
     if (!out.empty()) out += ' ';
-    out += kClassNames[k];
+    out += flexnet::to_string(cls);
     out += '=';
     out += std::to_string(n);
   }
@@ -130,22 +132,30 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "argument error: %s\n", error.c_str());
     return 1;
   }
-  if (opts->positional().size() != 1) {
+  const bool follow = opts->get_bool("follow", false);
+  const bool summary = opts->get_bool("summary", false);
+  const long long idle_limit = opts->get_int("idle-limit", 30);
+  if (opts->positional().size() != 1 || !opts->unread().empty()) {
+    for (const std::string& name : opts->unread()) {
+      std::fprintf(stderr, "unknown option --%s\n", name.c_str());
+    }
     std::fprintf(stderr,
                  "usage: metrics_tail STREAM.ndjson [--follow] [--summary] "
                  "[--idle-limit SECONDS]\n");
     return 1;
   }
   const std::string& path = opts->positional().front();
-  const bool follow = opts->get_bool("follow", false);
-  const bool summary = opts->get_bool("summary", false);
-  const long long idle_limit = opts->get_int("idle-limit", 30);
 
   std::ifstream in(path, std::ios::binary);
   if (!in) {
     std::fprintf(stderr, "cannot open %s\n", path.c_str());
     return 1;
   }
+
+  const auto fail = [&](std::size_t at, const std::string& reason) {
+    std::fprintf(stderr, "%s:%zu: %s\n", path.c_str(), at, reason.c_str());
+    return 1;
+  };
 
   std::string line;
   std::size_t lineno = 0;
@@ -155,10 +165,7 @@ int main(int argc, char** argv) {
   bool have_sample = false;
   for (;;) {
     if (!std::getline(in, line)) {
-      if (in.bad()) {
-        std::fprintf(stderr, "%s:%zu: read error\n", path.c_str(), lineno + 1);
-        return 1;
-      }
+      if (in.bad()) return fail(lineno + 1, "read error");
       if (!follow || saw_final) break;
       // Poll for growth: clear EOF, wait, retry from the same offset.
       if (idle_limit > 0 && ++idle_polls > idle_limit * 5) {
@@ -176,22 +183,15 @@ int main(int argc, char** argv) {
     try {
       rec = JsonValue::parse(line);
     } catch (const std::exception& e) {
-      std::fprintf(stderr, "%s:%zu: %s\n", path.c_str(), lineno, e.what());
-      return 1;
+      return fail(lineno, e.what());
     }
-    if (!rec.is_object()) {
-      std::fprintf(stderr, "%s:%zu: record is not a JSON object\n",
-                   path.c_str(), lineno);
-      return 1;
-    }
+    if (!rec.is_object()) return fail(lineno, "record is not a JSON object");
+    if (saw_final) return fail(lineno, "record after the final summary record");
     if (lineno == 1) {
       const JsonValue* schema = rec.find("schema");
-      if (schema == nullptr || schema->string != "flexnet-metrics-v1") {
-        std::fprintf(stderr,
-                     "%s:1: missing or unknown schema (want "
-                     "flexnet-metrics-v1 header record)\n",
-                     path.c_str());
-        return 1;
+      if (schema == nullptr || schema->string != kMetricsSchema) {
+        return fail(1, "missing or unknown schema (want " +
+                           std::string(kMetricsSchema) + " header record)");
       }
       if (!summary) print_header_line(rec);
       continue;
@@ -202,6 +202,9 @@ int main(int argc, char** argv) {
       if (!follow) continue;
       break;
     }
+    if (rec.find("cycle") == nullptr) {
+      return fail(lineno, "sample record has no \"cycle\" field");
+    }
     if (summary) {
       last_sample = rec;
       have_sample = true;
@@ -209,11 +212,7 @@ int main(int argc, char** argv) {
       print_sample_line(rec);
     }
   }
-  if (lineno == 0) {
-    std::fprintf(stderr, "%s:1: empty metrics stream (no header record)\n",
-                 path.c_str());
-    return 1;
-  }
+  if (lineno == 0) return fail(1, "empty metrics stream (no header record)");
   if (summary && !saw_final && have_sample) {
     std::printf("(no final record yet) last sample:\n");
     print_header_line(JsonValue{});
