@@ -10,13 +10,14 @@
 
 #include "flexnet.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace flexnet;
   const auto opts = Options::parse(argc, argv);
   if (!opts) return 1;
 
   const double load = opts->get_double("load", 0.4);
   const int k = static_cast<int>(opts->get_int("k", 16));
+  opts->reject_unread();
 
   struct Scheme {
     const char* label;
@@ -55,4 +56,7 @@ int main(int argc, char** argv) {
       "virtual channels deadlock becomes highly improbable, so recovery-based\n"
       "routing is viable and avoidance's restrictions are overly cautious.\n");
   return 0;
+} catch (const std::exception& e) {
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return 1;
 }

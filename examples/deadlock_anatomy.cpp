@@ -50,13 +50,12 @@ std::string describe_vc(const Network& net, VcId vc_id) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const auto opts = Options::parse(argc, argv);
   if (!opts) return 1;
 
   ExperimentConfig cfg;
-  cfg.sim.routing = opts->get("routing", "DOR") == "TFAR" ? RoutingKind::TFAR
-                                                          : RoutingKind::DOR;
+  cfg.sim.routing = parse_routing(opts->get("routing", "DOR"));
   cfg.sim.vcs = static_cast<int>(opts->get_int("vcs", 1));
   cfg.sim.topology.k = static_cast<int>(opts->get_int("k", 16));
   cfg.sim.topology.bidirectional = !opts->get_bool("uni", false);
@@ -65,6 +64,11 @@ int main(int argc, char** argv) {
   cfg.detector.recovery = RecoveryKind::None;  // keep the specimen intact
   const auto max_cycles =
       static_cast<std::int64_t>(opts->get_int("max-cycles", 100000));
+  const auto ring_capacity =
+      static_cast<std::size_t>(opts->get_int("ring", 1 << 16));
+  const std::string chrome_path = opts->get("trace-chrome");
+  const std::string dot_path = opts->get("dot");
+  opts->reject_unread();
 
   std::printf("Hunting for a true deadlock: %s, %d VC(s), %d-ary 2-cube (%s), "
               "load %.2f...\n",
@@ -78,13 +82,12 @@ int main(int argc, char** argv) {
   // Always-on trace ring so the eventual deadlock comes with its formation
   // history; optional Chrome trace for the whole hunt.
   Tracer tracer;
-  RingBufferSink ring(
-      static_cast<std::size_t>(opts->get_int("ring", 1 << 16)));
+  RingBufferSink ring(ring_capacity);
   tracer.add_sink(&ring);
   std::ofstream chrome_file;
   std::unique_ptr<ChromeTraceSink> chrome;
-  if (opts->has("trace-chrome")) {
-    chrome_file.open(opts->get("trace-chrome"), std::ios::binary);
+  if (!chrome_path.empty()) {
+    chrome_file.open(chrome_path, std::ios::binary);
     chrome = std::make_unique<ChromeTraceSink>(chrome_file);
     tracer.add_sink(chrome.get());
   }
@@ -163,11 +166,11 @@ int main(int argc, char** argv) {
         }
       }
 
-      if (opts->has("dot")) {
-        std::ofstream dot(opts->get("dot"));
+      if (!dot_path.empty()) {
+        std::ofstream dot(dot_path);
         dot << cwg_to_dot(cwg, knots);
         std::printf("\nCWG written to %s (render: dot -Tsvg %s -o cwg.svg)\n",
-                    opts->get("dot").c_str(), opts->get("dot").c_str());
+                    dot_path.c_str(), dot_path.c_str());
       }
 
       Pcg32 rng(cfg.sim.seed);
@@ -186,11 +189,14 @@ int main(int argc, char** argv) {
       if (chrome) {
         tracer.flush();
         std::printf("Chrome trace written to %s (load in chrome://tracing)\n",
-                    opts->get("trace-chrome").c_str());
+                    chrome_path.c_str());
       }
       return 0;
     }
   }
   std::printf("no true deadlock formed within the budget; raise --load.\n");
   return 0;
+} catch (const std::exception& e) {
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return 1;
 }

@@ -15,17 +15,17 @@
 #include "core/timeout.hpp"
 #include "flexnet.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace flexnet;
   const auto opts = Options::parse(argc, argv);
   if (!opts) return 1;
 
   ExperimentConfig cfg;
-  cfg.sim.routing = opts->get("routing", "DOR") == "TFAR" ? RoutingKind::TFAR
-                                                          : RoutingKind::DOR;
+  cfg.sim.routing = parse_routing(opts->get("routing", "DOR"));
   cfg.sim.vcs = static_cast<int>(opts->get_int("vcs", 1));
   cfg.sim.topology.k = static_cast<int>(opts->get_int("k", 16));
   cfg.traffic.load = opts->get_double("load", 0.4);
+  opts->reject_unread();
   cfg.detector.recovery = RecoveryKind::None;  // observe, don't intervene
 
   std::printf("Detection accuracy study: %s, %d VC(s), %d-ary 2-cube, "
@@ -94,4 +94,7 @@ int main(int argc, char** argv) {
               " cycle-eliminating avoidance would have sacrificed for"
               " nothing.\n");
   return 0;
+} catch (const std::exception& e) {
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return 1;
 }

@@ -8,20 +8,7 @@
 
 #include "flexnet.hpp"
 
-namespace {
-
-flexnet::RoutingKind parse_routing(const std::string& name) {
-  if (name == "DOR") return flexnet::RoutingKind::DOR;
-  if (name == "TFAR") return flexnet::RoutingKind::TFAR;
-  if (name == "DatelineDOR") return flexnet::RoutingKind::DatelineDOR;
-  if (name == "DuatoTFAR") return flexnet::RoutingKind::DuatoTFAR;
-  if (name == "NegativeFirst") return flexnet::RoutingKind::NegativeFirst;
-  throw std::invalid_argument("unknown routing: " + name);
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   std::string error;
   const auto opts = flexnet::Options::parse(argc, argv, &error);
   if (!opts) {
@@ -30,7 +17,7 @@ int main(int argc, char** argv) {
   }
 
   flexnet::ExperimentConfig cfg;  // paper defaults: 16-ary 2-cube, bi, 1 VC
-  cfg.sim.routing = parse_routing(opts->get("routing", "TFAR"));
+  cfg.sim.routing = flexnet::parse_routing(opts->get("routing", "TFAR"));
   cfg.sim.vcs = static_cast<int>(opts->get_int("vcs", 1));
   cfg.sim.buffer_depth = static_cast<int>(opts->get_int("buffer", 2));
   cfg.sim.injection_vcs = static_cast<int>(opts->get_int("ivcs", 1));
@@ -43,6 +30,7 @@ int main(int argc, char** argv) {
   cfg.traffic.load = opts->get_double("load", 0.6);
   cfg.run.warmup = opts->get_int("warmup", 5000);
   cfg.run.measure = opts->get_int("measure", 15000);
+  opts->reject_unread();
 
   std::printf("flexnet quickstart: %s, %d VC(s), %d-ary %d-cube (%s), load %.2f\n",
               std::string(flexnet::to_string(cfg.sim.routing)).c_str(),
@@ -76,4 +64,7 @@ int main(int argc, char** argv) {
                 static_cast<long long>(w.multi_cycle_deadlocks));
   }
   return 0;
+} catch (const std::exception& e) {
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return 1;
 }

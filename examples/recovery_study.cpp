@@ -9,7 +9,7 @@
 
 #include "flexnet.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace flexnet;
   const auto opts = Options::parse(argc, argv);
   if (!opts) return 1;
@@ -21,6 +21,7 @@ int main(int argc, char** argv) {
   base.traffic.load = opts->get_double("load", 0.4);
   base.run.warmup = 3000;
   base.run.measure = opts->get_int("measure", 10000);
+  opts->reject_unread();
 
   std::printf("Recovery study: DOR, 1 VC, %d-ary 2-cube, load %.2f\n\n",
               base.sim.topology.k, base.traffic.load);
@@ -60,4 +61,7 @@ int main(int argc, char** argv) {
   std::printf("\n(with RecoveryKind::None each frozen knot is re-counted every"
               " detector pass, so 'deadlocks' counts sightings, not events)\n");
   return 0;
+} catch (const std::exception& e) {
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return 1;
 }

@@ -32,7 +32,9 @@
 //   ./sweep_cli --topology dragonfly --df-routers 8 --df-globals 1
 //       --routing TableUpDown --loads 0.4    # deadlock-free any-topology
 //   ./sweep_cli --topology random --nodes 24 --degree 3 --topo-seed 7
-//       --route-table-dump tables.rt --loads 0.3  # dump the routing tables
+//       --route-table-dump tables.rt         # dump the routing tables
+//   ./sweep_cli --topology random --nodes 24 --degree 3 --topo-seed 7
+//       --route-table tables.rt --loads 0.3  # sweep on the dumped tables
 //   ./sweep_cli --routing DOR --loads 0.3 --capture-trace run.trace
 //                                            # record the arrival stream
 //   ./sweep_cli --workload trace:run.trace --routing DOR --loads 0.3
@@ -57,23 +59,13 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // Called once a path has read every option it uses: whatever is left is a
-  // typo or a removed flag, which must fail rather than run with defaults.
-  const auto reject_unread = [&] {
-    std::string names;
-    for (const std::string& name : opts->unread()) {
-      names += (names.empty() ? "--" : ", --") + name;
-    }
-    if (!names.empty()) throw std::invalid_argument("unknown option(s): " + names);
-  };
-
   try {
     const ExperimentConfig base = experiment_from_options(*opts);
 
     // Resuming is a single-run operation: the snapshot fixes the load and
     // every sim parameter, so the sweep collapses to one point.
     if (!base.snapshot.resume_path.empty()) {
-      reject_unread();
+      opts->reject_unread();
       Simulation sim(base);
       std::cout << "flexnet resume: " << base.snapshot.resume_path
                 << " @ cycle " << sim.network().now() << " of "
@@ -103,7 +95,7 @@ int main(int argc, char** argv) {
     // --route-table-dump FILE: build the network once, write its routing
     // tables as flexnet-rtable-v1, and exit (no sweep).
     if (opts->has("route-table-dump")) {
-      reject_unread();
+      opts->reject_unread();
       Simulation sim(base);
       const auto* table =
           dynamic_cast<const TableRouting*>(&sim.network().routing_algorithm());
@@ -124,7 +116,7 @@ int main(int argc, char** argv) {
     const std::vector<double> loads = loads_from_options(*opts);
     const std::string csv_path = opts->get("csv");
     const std::string label = opts->get("label", "sweep");
-    reject_unread();
+    opts->reject_unread();
 
     std::cout << "flexnet sweep: " << to_string(base.sim.routing) << ", "
               << base.sim.vcs << " VC(s), ";

@@ -1,11 +1,10 @@
 #include "exp/cli.hpp"
 
-#include <cerrno>
-#include <cstdlib>
 #include <limits>
 #include <stdexcept>
 
 #include "exp/sweep.hpp"
+#include "util/parse.hpp"
 
 namespace flexnet {
 
@@ -33,16 +32,6 @@ SelectionKind parse_selection(std::string_view name) {
     if (name == to_string(kind)) return kind;
   }
   unknown("selection", name);
-}
-
-TrafficKind parse_traffic(std::string_view name) {
-  for (const TrafficKind kind :
-       {TrafficKind::Uniform, TrafficKind::BitReversal, TrafficKind::Transpose,
-        TrafficKind::PerfectShuffle, TrafficKind::HotSpot, TrafficKind::Tornado,
-        TrafficKind::NearestNeighbor}) {
-    if (name == to_string(kind)) return kind;
-  }
-  unknown("traffic", name);
 }
 
 RecoveryKind parse_recovery(std::string_view name) {
@@ -120,7 +109,7 @@ ExperimentConfig experiment_from_options(const Options& opts) {
       static_cast<int>(opts.get_int("queue-limit", cfg.sim.source_queue_limit));
   cfg.sim.seed = static_cast<std::uint64_t>(opts.get_int("seed", 1));
 
-  cfg.traffic.pattern = parse_traffic(opts.get("traffic", "Uniform"));
+  cfg.traffic.pattern = parse_traffic_kind(opts.get("traffic", "Uniform"));
   cfg.traffic.load = opts.get_double("load", cfg.traffic.load);
   cfg.traffic.hotspot_nodes =
       static_cast<int>(opts.get_int("hotspots", cfg.traffic.hotspot_nodes));
@@ -129,7 +118,7 @@ ExperimentConfig experiment_from_options(const Options& opts) {
   cfg.traffic.hybrid_fraction =
       opts.get_double("hybrid-fraction", cfg.traffic.hybrid_fraction);
   if (opts.has("hybrid")) {
-    cfg.traffic.hybrid_with = parse_traffic(opts.get("hybrid"));
+    cfg.traffic.hybrid_with = parse_traffic_kind(opts.get("hybrid"));
   }
 
   // Arrival process: bernoulli (default) | trace:<path> | pace:<spec>, plus
@@ -155,35 +144,21 @@ ExperimentConfig experiment_from_options(const Options& opts) {
   cfg.run.check_invariants = opts.get_bool("check", false);
   cfg.run.step_dense = opts.get_bool("step-dense", false);
 
-  // --shards N|auto sets the step engine's shard count. Strict parse: only
-  // "auto" or an all-digit positive count is accepted ("8x", "", "-2" are
-  // errors, not silent fallbacks). "auto" resolves at construction to
+  // --shards N|auto sets the step engine's shard count; anything else is an
+  // error, not a silent fallback. "auto" resolves at construction to
   // min(worker_thread_count(), nodes); worker_thread_count() honors
   // FLEXNET_THREADS, so the explicit flag outranks the environment.
   if (opts.has("shards")) {
     const std::string shards_arg = opts.get("shards");
-    if (shards_arg == "auto") {
-      cfg.run.shards = -1;
-    } else {
-      if (shards_arg.empty() ||
-          shards_arg.find_first_not_of("0123456789") != std::string::npos) {
-        throw std::invalid_argument("--shards must be a positive integer or "
-                                    "'auto', got: " + shards_arg);
-      }
-      errno = 0;
-      char* end = nullptr;
-      const long long value = std::strtoll(shards_arg.c_str(), &end, 10);
-      if (errno == ERANGE || *end != '\0' || value < 1 ||
-          value > std::numeric_limits<int>::max()) {
-        throw std::invalid_argument("--shards out of range: " + shards_arg);
-      }
-      cfg.run.shards = static_cast<int>(value);
+    const auto count =
+        parse_int(shards_arg, 1, std::numeric_limits<int>::max());
+    if (!count && shards_arg != "auto") {
+      throw std::invalid_argument(
+          "--shards must be a positive integer or 'auto', got: " + shards_arg);
     }
+    cfg.run.shards = count ? static_cast<int>(*count) : -1;
   }
 
-  const long long ring = opts.get_int("trace-ring", 0);
-  if (ring < 0) throw std::invalid_argument("--trace-ring must be >= 0");
-  cfg.trace.ring_capacity = static_cast<std::size_t>(ring);
   cfg.trace.chrome_path = opts.get("trace-chrome");
   cfg.trace.binary_path = opts.get("trace-bin");
   cfg.trace.forensics = opts.get_bool("forensics", false);
@@ -238,20 +213,13 @@ ExperimentConfig experiment_from_options(const Options& opts) {
 
 std::vector<double> loads_from_options(const Options& opts) {
   if (opts.has("loads")) {
-    std::vector<double> loads;
     const std::string list = opts.get("loads");
-    const char* cursor = list.c_str();
-    while (*cursor != '\0') {
-      char* end = nullptr;
-      const double value = std::strtod(cursor, &end);
-      if (end == cursor) {
-        throw std::invalid_argument("malformed --loads list: " + list);
-      }
-      loads.push_back(value);
-      cursor = (*end == ',') ? end + 1 : end;
+    const auto loads = parse_finite_list(list);
+    if (!loads) {
+      throw std::invalid_argument(
+          "--loads expects comma-separated finite numbers, got '" + list + "'");
     }
-    if (loads.empty()) throw std::invalid_argument("--loads list is empty");
-    return loads;
+    return *loads;
   }
   const double lo = opts.get_double("load-min", 0.05);
   const double hi = opts.get_double("load-max", 0.9);

@@ -12,11 +12,11 @@
 
 namespace flexnet {
 
-/// Parse enum spellings (exact, as printed by to_string). Throws
+/// Parse enum spellings (exact, as printed by to_string; traffic patterns
+/// parse with traffic/traffic.hpp's parse_traffic_kind). Throws
 /// std::invalid_argument on unknown names.
 [[nodiscard]] RoutingKind parse_routing(std::string_view name);
 [[nodiscard]] SelectionKind parse_selection(std::string_view name);
-[[nodiscard]] TrafficKind parse_traffic(std::string_view name);
 [[nodiscard]] RecoveryKind parse_recovery(std::string_view name);
 /// "torus" | "mesh" | "fullmesh" | "dragonfly" | "random" | "file:<path>"
 /// (lowercase family names; "mesh" maps to Torus with wrap=false).
@@ -31,7 +31,7 @@ namespace flexnet {
 ///   --traffic --load --hotspots --hotspot-fraction --hybrid --hybrid-fraction
 ///   --interval --recovery --no-quiescence --count-cycles --cycle-cap
 ///   --warmup --measure --check --step-dense
-///   --trace-ring N --trace-chrome FILE --trace-bin FILE --forensics
+///   --trace-chrome FILE --trace-bin FILE --forensics
 ///   --forensics-dot PREFIX
 ///   --telemetry --telemetry-json FILE --heatmap FILE --profile --heatmap-ascii
 ///   --metrics FILE --metrics-collect --metrics-interval N --warn-threshold X

@@ -115,12 +115,9 @@ Simulation::Simulation(const ExperimentConfig& config)
   const TraceConfig& trace = config_.trace;
   if (trace.enabled()) {
     tracer_ = std::make_unique<Tracer>();
-    std::size_t ring_capacity = trace.ring_capacity;
-    if (trace.forensics && ring_capacity == 0) {
-      ring_capacity = TraceConfig::kDefaultRingCapacity;
-    }
-    if (ring_capacity > 0) {
-      ring_ = std::make_unique<RingBufferSink>(ring_capacity);
+    if (trace.forensics) {
+      ring_ =
+          std::make_unique<RingBufferSink>(TraceConfig::kDefaultRingCapacity);
       tracer_->add_sink(ring_.get());
     }
     if (!trace.chrome_path.empty()) {

@@ -47,15 +47,12 @@ struct RunConfig {
 /// default; Simulation materializes the tracer, sinks and forensics recorder
 /// from this and owns them for the run.
 struct TraceConfig {
-  /// Ring sink capacity in events; 0 disables the ring (unless forensics
-  /// forces a default-sized one).
-  std::size_t ring_capacity = 0;
   /// Write a Chrome trace-event JSON (chrome://tracing / Perfetto) here.
   std::string chrome_path;
   /// Write the deterministic binary encoding here.
   std::string binary_path;
-  /// Record per-deadlock forensics (implies a ring sink; if ring_capacity is
-  /// 0, kDefaultRingCapacity is used).
+  /// Record per-deadlock forensics (read from a ring sink of
+  /// kDefaultRingCapacity events).
   bool forensics = false;
   /// When set, each forensics report's CWG snapshot is written to
   /// "<prefix><seq>.dot" at the end of the run.
@@ -64,8 +61,7 @@ struct TraceConfig {
   static constexpr std::size_t kDefaultRingCapacity = 1 << 16;
 
   [[nodiscard]] bool enabled() const noexcept {
-    return ring_capacity > 0 || !chrome_path.empty() || !binary_path.empty() ||
-           forensics;
+    return !chrome_path.empty() || !binary_path.empty() || forensics;
   }
 
   /// Per-point file names for sweeps: "out.json" -> "out.json.p<i>" so
@@ -177,9 +173,6 @@ class Simulation {
 
   /// Non-null iff TraceConfig enabled the corresponding component.
   [[nodiscard]] Tracer* tracer() noexcept { return tracer_.get(); }
-  [[nodiscard]] const RingBufferSink* trace_ring() const noexcept {
-    return ring_.get();
-  }
   [[nodiscard]] DeadlockForensics* forensics() noexcept {
     return forensics_.get();
   }

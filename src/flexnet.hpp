@@ -62,6 +62,7 @@
 #include "util/json.hpp"         // IWYU pragma: export
 #include "util/options.hpp"      // IWYU pragma: export
 #include "util/parallel.hpp"     // IWYU pragma: export
+#include "util/parse.hpp"        // IWYU pragma: export
 #include "util/rng.hpp"          // IWYU pragma: export
 #include "util/stats.hpp"        // IWYU pragma: export
 #include "workload/pace.hpp"       // IWYU pragma: export

@@ -2,16 +2,15 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <limits>
 #include <numeric>
 #include <ostream>
-#include <sstream>
 #include <stdexcept>
 
 #include "sim/network.hpp"
 #include "topo/topology.hpp"
+#include "util/parse.hpp"
 
 namespace flexnet {
 namespace {
@@ -47,10 +46,10 @@ void TableRouting::attach(const Network& net) {
   }
   if (table_file_.empty()) {
     build(topo);
+    if (const std::string hole = missing_route(); !hole.empty()) fail(hole);
   } else {
     load(net);
   }
-  validate_complete();
 }
 
 void TableRouting::build(const Topology& topo) {
@@ -202,17 +201,18 @@ void TableRouting::pack(const std::vector<std::vector<ChannelId>>& slots) {
   for (const auto& s : slots) entries_.insert(entries_.end(), s.begin(), s.end());
 }
 
-void TableRouting::validate_complete() const {
+std::string TableRouting::missing_route() const {
   for (NodeId v = 0; v < nodes_; ++v) {
     for (NodeId dst = 0; dst < nodes_; ++dst) {
       if (v == dst) continue;
       const std::size_t s = slot(v, 0, dst);
       if (offsets_[s] == offsets_[s + 1]) {
-        fail("no route from node " + std::to_string(v) + " to node " +
-             std::to_string(dst));
+        return "no route from node " + std::to_string(v) + " to node " +
+               std::to_string(dst);
       }
     }
   }
+  return {};
 }
 
 void TableRouting::candidate_channels(const Network& net, const Message& msg,
@@ -264,107 +264,80 @@ void TableRouting::load(const Network& net) {
   if (!in) fail("cannot open route table file: " + table_file_);
 
   const Topology& topo = net.topology();
-  const auto num_channels = topo.channels().size();
+  const auto max_channel = static_cast<long long>(topo.channels().size()) - 1;
   nodes_ = topo.num_nodes();
   states_ = mode_ == Mode::UpDown ? 2 : 1;
   topo_hash_ = topo.content_hash();
-  down_.assign(num_channels, 0);
+  down_.assign(topo.channels().size(), 0);
   std::vector<std::vector<ChannelId>> slots(
       static_cast<std::size_t>(nodes_) * static_cast<std::size_t>(states_) *
       static_cast<std::size_t>(nodes_));
 
-  bool seen_magic = false, seen_mode = false, seen_hash = false,
-       seen_nodes = false, seen_states = false;
-  std::string line;
-  int lineno = 0;
-  while (std::getline(in, line)) {
-    ++lineno;
-    auto err = [&](const std::string& what) -> void {
-      fail(table_file_ + ":" + std::to_string(lineno) + ": " + what);
-    };
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    if (!seen_magic) {
-      if (line != kTableMagic) err("missing flexnet-rtable-v1 magic");
-      seen_magic = true;
-      continue;
-    }
-    const std::size_t hash_pos = line.find('#');
-    if (hash_pos != std::string::npos) line.resize(hash_pos);
-    std::istringstream ss(line);
-    std::string key;
-    if (!(ss >> key)) continue;  // blank / comment-only line
-    std::string extra;
+  bool seen_mode = false, seen_hash = false, seen_nodes = false,
+       seen_states = false;
+  LineReader r(in, table_file_, kTableMagic);
+  while (r.next()) {
+    const std::string key(r.field(0));
     if (key == "mode") {
-      std::string m;
-      if (!(ss >> m) || (ss >> extra)) err("expected: mode <name>");
-      if (m != name()) {
-        err("table mode " + m + " does not match routing " +
-            std::string(name()));
+      r.expect(2, "mode <name>");
+      if (r.field(1) != name()) {
+        r.fail("table mode " + std::string(r.field(1)) +
+               " does not match routing " + std::string(name()));
       }
       seen_mode = true;
     } else if (key == "topology") {
-      std::string h;
-      if (!(ss >> h) || (ss >> extra)) err("expected: topology <hex hash>");
-      if (h != hex64(topo_hash_)) {
-        err("table was built for a different topology (hash " + h +
-            ", network has " + hex64(topo_hash_) + ")");
+      r.expect(2, "topology <hex hash>");
+      if (r.field(1) != hex64(topo_hash_)) {
+        r.fail("table was built for a different topology (hash " +
+               std::string(r.field(1)) + ", network has " + hex64(topo_hash_) +
+               ")");
       }
       seen_hash = true;
     } else if (key == "nodes") {
-      long n = -1;
-      if (!(ss >> n) || (ss >> extra)) err("expected: nodes <count>");
+      r.expect(2, "nodes <count>");
+      const long long n = r.integer(1, 0, kMaxTableNodes);
       if (n != nodes_) {
-        err("table covers " + std::to_string(n) + " nodes, network has " +
-            std::to_string(nodes_));
+        r.fail("table covers " + std::to_string(n) + " nodes, network has " +
+               std::to_string(nodes_));
       }
       seen_nodes = true;
     } else if (key == "states") {
-      int s = -1;
-      if (!(ss >> s) || (ss >> extra)) err("expected: states <count>");
-      if (s != states_) err("state count does not match the routing mode");
+      r.expect(2, "states <count>");
+      if (r.integer(1, 1, 2) != states_) {
+        r.fail("state count does not match the routing mode");
+      }
       seen_states = true;
     } else if (key == "down") {
-      if (states_ < 2) err("down lines are only valid for TableUpDown");
-      long ch = -1;
-      if (!(ss >> ch) || (ss >> extra)) err("expected: down <channel>");
-      if (ch < 0 || static_cast<std::size_t>(ch) >= num_channels) {
-        err("channel id out of range");
-      }
-      down_[static_cast<std::size_t>(ch)] = 1;
+      if (states_ < 2) r.fail("down lines are only valid for TableUpDown");
+      r.expect(2, "down <channel>");
+      down_[static_cast<std::size_t>(r.integer(1, 0, max_channel))] = 1;
     } else if (key == "route") {
-      long v = -1, st = -1, dst = -1;
-      if (!(ss >> v >> st >> dst)) {
-        err("expected: route <node> <state> <dst> <channel>...");
+      if (r.size() < 5) {
+        r.fail("expected: route <node> <state> <dst> <channel>...");
       }
-      if (v < 0 || v >= nodes_ || dst < 0 || dst >= nodes_) {
-        err("node id out of range");
-      }
-      if (st < 0 || st >= states_) err("state out of range");
-      if (v == dst) err("route to self");
-      auto& entry = slots[slot(static_cast<NodeId>(v), static_cast<int>(st),
-                               static_cast<NodeId>(dst))];
-      if (!entry.empty()) err("duplicate route entry");
-      long ch = -1;
-      while (ss >> ch) {
-        if (ch < 0 || static_cast<std::size_t>(ch) >= num_channels) {
-          err("channel id out of range");
+      const auto v = static_cast<NodeId>(r.integer(1, 0, nodes_ - 1));
+      const auto st = static_cast<int>(r.integer(2, 0, states_ - 1));
+      const auto dst = static_cast<NodeId>(r.integer(3, 0, nodes_ - 1));
+      if (v == dst) r.fail("route to self");
+      auto& entry = slots[slot(v, st, dst)];
+      if (!entry.empty()) r.fail("duplicate route entry");
+      for (std::size_t i = 4; i < r.size(); ++i) {
+        const auto ch = static_cast<ChannelId>(r.integer(i, 0, max_channel));
+        if (topo.channel(ch).src != v) {
+          r.fail("channel " + std::to_string(ch) + " does not leave node " +
+                 std::to_string(v));
         }
-        if (topo.channel(static_cast<ChannelId>(ch)).src != v) {
-          err("channel " + std::to_string(ch) + " does not leave node " +
-              std::to_string(v));
-        }
-        entry.push_back(static_cast<ChannelId>(ch));
+        entry.push_back(ch);
       }
-      if (entry.empty()) err("route line lists no channels");
     } else {
-      err("unknown directive '" + key + "'");
+      r.fail("unknown directive '" + key + "'");
     }
   }
-  if (!seen_magic) fail(table_file_ + ": empty file");
   if (!seen_mode || !seen_hash || !seen_nodes || !seen_states) {
-    fail(table_file_ + ": missing mode/topology/nodes/states header");
+    r.fail("missing mode/topology/nodes/states header");
   }
   pack(slots);
+  if (const std::string hole = missing_route(); !hole.empty()) r.fail(hole);
 }
 
 }  // namespace flexnet

@@ -74,8 +74,8 @@ class TableRouting final : public RoutingAlgorithm {
   void load(const Network& net);
   void pack(const std::vector<std::vector<ChannelId>>& slots);
   /// Every (node, state 0, dst != node) slot must be non-empty, or routing
-  /// would strand a header; throws std::runtime_error naming the hole.
-  void validate_complete() const;
+  /// would strand a header; returns the first hole, or "" when there is none.
+  [[nodiscard]] std::string missing_route() const;
 
   Mode mode_;
   std::string table_file_;

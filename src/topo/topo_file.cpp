@@ -2,31 +2,12 @@
 
 #include <algorithm>
 #include <fstream>
-#include <sstream>
 #include <stdexcept>
 #include <vector>
 
+#include "util/parse.hpp"
+
 namespace flexnet {
-
-namespace {
-
-[[noreturn]] void parse_error(const std::string& origin, int line,
-                              const std::string& what) {
-  throw std::invalid_argument(origin + ":" + std::to_string(line) + ": " + what);
-}
-
-/// Strict non-negative integer parse: the whole token must be digits.
-bool parse_id(const std::string& token, long long& out) {
-  if (token.empty() || token.size() > 10) return false;
-  out = 0;
-  for (const char c : token) {
-    if (c < '0' || c > '9') return false;
-    out = out * 10 + (c - '0');
-  }
-  return true;
-}
-
-}  // namespace
 
 GraphTopology::Spec parse_topology_text(std::istream& in,
                                         const std::string& origin) {
@@ -35,98 +16,38 @@ GraphTopology::Spec parse_topology_text(std::istream& in,
   spec.name = "file:" + origin;
   spec.nodes = -1;
 
-  std::string line;
-  int line_no = 0;
-  bool saw_magic = false;
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    // Strip comments, then tokenize.
-    const std::size_t hash = line.find('#');
-    if (hash != std::string::npos) line.resize(hash);
-    std::istringstream tokens(line);
-    std::string keyword;
-    if (!(tokens >> keyword)) {
-      if (line_no == 1) parse_error(origin, 1, "missing flexnet-topo-v1 magic");
-      continue;  // blank or comment-only line
-    }
-
-    if (!saw_magic) {
-      if (keyword != kTopoFileMagic) {
-        parse_error(origin, line_no,
-                    "bad magic '" + keyword + "' (expected flexnet-topo-v1)");
-      }
-      std::string extra;
-      if (tokens >> extra) {
-        parse_error(origin, line_no, "trailing token after magic: " + extra);
-      }
-      saw_magic = true;
-      continue;
-    }
-
+  LineReader r(in, origin, kTopoFileMagic);
+  while (r.next()) {
+    const std::string keyword(r.field(0));
     if (keyword == "nodes") {
-      if (spec.nodes >= 0) parse_error(origin, line_no, "duplicate nodes directive");
-      std::string count;
-      long long value = 0;
-      if (!(tokens >> count) || !parse_id(count, value)) {
-        parse_error(origin, line_no, "nodes needs one non-negative integer");
+      if (spec.nodes >= 0) r.fail("duplicate nodes directive");
+      r.expect(2, "nodes <count>");
+      spec.nodes = static_cast<NodeId>(r.integer(1, 2, kMaxGraphNodes));
+    } else if (keyword == "link" || keyword == "bilink") {
+      if (spec.nodes < 0) r.fail("link before the nodes directive");
+      if (r.size() != 3 && r.size() != 4) {
+        r.fail("expected: " + keyword + " <src> <dst> [width=N]");
       }
-      if (value < 2 || value > kMaxGraphNodes) {
-        parse_error(origin, line_no,
-                    "node count must be in [2, " +
-                        std::to_string(kMaxGraphNodes) + "]");
-      }
-      std::string extra;
-      if (tokens >> extra) {
-        parse_error(origin, line_no, "trailing token after nodes: " + extra);
-      }
-      spec.nodes = static_cast<NodeId>(value);
-      continue;
-    }
-
-    if (keyword == "link" || keyword == "bilink") {
-      if (spec.nodes < 0) {
-        parse_error(origin, line_no, "link before the nodes directive");
-      }
-      std::string src_tok, dst_tok;
-      long long src = 0, dst = 0;
-      if (!(tokens >> src_tok >> dst_tok) || !parse_id(src_tok, src) ||
-          !parse_id(dst_tok, dst)) {
-        parse_error(origin, line_no, keyword + " needs two node ids");
-      }
-      if (src >= spec.nodes || dst >= spec.nodes) {
-        parse_error(origin, line_no,
-                    "dangling node id " + std::to_string(std::max(src, dst)) +
-                        " (only " + std::to_string(spec.nodes) +
-                        " nodes declared)");
-      }
-      if (src == dst) {
-        parse_error(origin, line_no, "self-loop at node " + std::to_string(src));
-      }
+      const auto a = static_cast<NodeId>(r.integer(1, 0, spec.nodes - 1));
+      const auto b = static_cast<NodeId>(r.integer(2, 0, spec.nodes - 1));
+      if (a == b) r.fail("self-loop at node " + std::to_string(a));
       int width = 1;
-      std::string option;
-      while (tokens >> option) {
-        long long value = 0;
-        if (option.rfind("width=", 0) == 0 &&
-            parse_id(option.substr(6), value) && value >= 1 && value <= 64) {
-          width = static_cast<int>(value);
-        } else {
-          parse_error(origin, line_no, "bad link option: " + option);
-        }
+      if (r.size() == 4) {
+        const std::string_view option = r.field(3);
+        const auto value = option.substr(0, 6) == "width="
+                               ? parse_int(option.substr(6), 1, 64)
+                               : std::nullopt;
+        if (!value) r.fail("bad link option: " + std::string(option));
+        width = static_cast<int>(*value);
       }
-      const auto a = static_cast<NodeId>(src);
-      const auto b = static_cast<NodeId>(dst);
       spec.links.push_back({a, b, width});
       if (keyword == "bilink") spec.links.push_back({b, a, width});
-      continue;
+    } else {
+      r.fail("unknown directive: " + keyword);
     }
-
-    parse_error(origin, line_no, "unknown directive: " + keyword);
   }
-
-  if (!saw_magic) parse_error(origin, 1, "empty file (missing magic)");
-  if (spec.nodes < 0) parse_error(origin, line_no, "missing nodes directive");
-  if (spec.links.empty()) parse_error(origin, line_no, "no links declared");
+  if (spec.nodes < 0) r.fail("missing nodes directive");
+  if (spec.links.empty()) r.fail("no links declared");
 
   // Duplicate detection happens here (not just in GraphTopology) so the
   // error carries the file origin; bilink over an existing link is the
@@ -138,9 +59,8 @@ GraphTopology::Spec parse_topology_text(std::istream& in,
             });
   for (std::size_t i = 1; i < sorted.size(); ++i) {
     if (sorted[i].src == sorted[i - 1].src && sorted[i].dst == sorted[i - 1].dst) {
-      parse_error(origin, line_no,
-                  "duplicate link " + std::to_string(sorted[i].src) + "->" +
-                      std::to_string(sorted[i].dst));
+      r.fail("duplicate link " + std::to_string(sorted[i].src) + "->" +
+             std::to_string(sorted[i].dst));
     }
   }
   return spec;

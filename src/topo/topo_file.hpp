@@ -10,8 +10,9 @@
 //
 // The parser is strict and fails loud: bad magic, unknown directives,
 // malformed or trailing tokens, out-of-range/dangling node ids, self-loops,
-// duplicate links, a missing nodes declaration, or a graph that is not
-// strongly connected all throw std::invalid_argument naming the line.
+// duplicate links or a missing nodes declaration throw std::runtime_error
+// naming origin:line (util/parse.hpp holds the lexical rules). A graph that
+// is not strongly connected is rejected when GraphTopology is built.
 #pragma once
 
 #include <iosfwd>
@@ -29,7 +30,7 @@ inline constexpr std::string_view kTopoFileMagic = "flexnet-topo-v1";
                                                       const std::string& origin);
 
 /// Reads and parses `path`; throws std::runtime_error when the file cannot
-/// be opened and std::invalid_argument on malformed content.
+/// be opened or its content is malformed.
 [[nodiscard]] GraphTopology::Spec load_topology_file(const std::string& path);
 
 /// Serializes a spec back to flexnet-topo-v1 text (antiparallel link pairs

@@ -1,18 +1,23 @@
 #include "util/options.hpp"
 
-#include <cerrno>
-#include <charconv>
-#include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <stdexcept>
+
+#include "util/parse.hpp"
 
 namespace flexnet {
 
 namespace {
-[[noreturn]] void bad_value(std::string_view name, const std::string& value,
-                            const char* expected) {
-  throw std::invalid_argument("option --" + std::string(name) + " expects " +
-                              expected + ", got '" + value + "'");
+/// The parsed value, or std::invalid_argument naming the option and value.
+template <typename T>
+T checked(std::string_view name, const std::string& value,
+          const std::optional<T>& parsed, const char* expected) {
+  if (!parsed) {
+    throw std::invalid_argument("option --" + std::string(name) + " expects " +
+                                expected + ", got '" + value + "'");
+  }
+  return *parsed;
 }
 }  // namespace
 
@@ -62,6 +67,16 @@ std::vector<std::string> Options::unread() const {
   return names;
 }
 
+void Options::reject_unread() const {
+  std::string names;
+  for (const std::string& name : unread()) {
+    names += (names.empty() ? "--" : ", --") + name;
+  }
+  if (!names.empty()) {
+    throw std::invalid_argument("unknown option(s): " + names);
+  }
+}
+
 bool Options::has(std::string_view name) const {
   return lookup(name) != values_.end();
 }
@@ -74,47 +89,29 @@ std::string Options::get(std::string_view name, std::string def) const {
 long long Options::get_int(std::string_view name, long long def) const {
   const auto it = lookup(name);
   if (it == values_.end()) return def;
-  const std::string& v = it->second;
-  long long value = 0;
-  const char* first = v.c_str();
-  if (*first == '+') ++first;  // from_chars rejects an explicit plus sign
-  const auto [end, ec] = std::from_chars(first, v.c_str() + v.size(), value);
-  if (ec == std::errc::result_out_of_range) {
-    bad_value(name, v, "an integer in range (value overflows)");
-  }
-  if (ec != std::errc{} || end != v.c_str() + v.size() || first == end) {
-    bad_value(name, v, "an integer");
-  }
-  return value;
+  return checked(name, it->second,
+                 parse_int(it->second, std::numeric_limits<long long>::min(),
+                           std::numeric_limits<long long>::max()),
+                 "an integer");
 }
 
 double Options::get_double(std::string_view name, double def) const {
   const auto it = lookup(name);
   if (it == values_.end()) return def;
-  const std::string& v = it->second;
-  errno = 0;
-  char* end = nullptr;
-  const double value = std::strtod(v.c_str(), &end);
-  if (end == v.c_str() || *end != '\0') bad_value(name, v, "a number");
-  if (errno == ERANGE && std::isinf(value)) {
-    bad_value(name, v, "a finite number (value overflows)");
-  }
-  return value;
+  return checked(name, it->second, parse_finite(it->second), "a finite number");
 }
 
 bool Options::get_bool(std::string_view name, bool def) const {
   const auto it = lookup(name);
   if (it == values_.end()) return def;
-  const std::string& v = it->second;
-  return v == "1" || v == "true" || v == "yes" || v == "on";
+  return checked(name, it->second, parse_bool(it->second),
+                 "one of 1/0/true/false/yes/no/on/off");
 }
 
 double bench_scale() {
-  if (const char* env = std::getenv("FLEXNET_BENCH_SCALE")) {
-    const double v = std::strtod(env, nullptr);
-    if (v > 0.0) return v;
-  }
-  return 1.0;
+  const char* env = std::getenv("FLEXNET_BENCH_SCALE");
+  const auto scale = env != nullptr ? parse_finite(env) : std::nullopt;
+  return scale && *scale > 0.0 ? *scale : 1.0;
 }
 
 }  // namespace flexnet

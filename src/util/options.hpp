@@ -22,9 +22,10 @@ class Options {
   [[nodiscard]] bool has(std::string_view name) const;
   [[nodiscard]] std::string get(std::string_view name,
                                 std::string def = {}) const;
-  /// Numeric getters parse the FULL value: trailing garbage ("1e9x"), empty
-  /// values and out-of-range magnitudes throw std::invalid_argument naming
-  /// the option, instead of silently truncating (strtoll's behavior).
+  /// Typed getters parse the whole value with util/parse.hpp's grammar:
+  /// trailing garbage ("1e9x"), empty values, out-of-range magnitudes, nan,
+  /// inf and unknown boolean spellings throw std::invalid_argument naming the
+  /// option and the value.
   [[nodiscard]] long long get_int(std::string_view name, long long def) const;
   [[nodiscard]] double get_double(std::string_view name, double def) const;
   [[nodiscard]] bool get_bool(std::string_view name, bool def) const;
@@ -39,6 +40,9 @@ class Options {
   /// rejects these, so a typo or a removed flag fails instead of running
   /// silently with defaults.
   [[nodiscard]] std::vector<std::string> unread() const;
+  /// Throws std::invalid_argument("unknown option(s): --a, --b") naming
+  /// every unread option; call once a binary has read all it uses.
+  void reject_unread() const;
 
  private:
   using Values = std::map<std::string, std::string, std::less<>>;

@@ -1,9 +1,11 @@
 #include "util/parallel.hpp"
 
 #include <algorithm>
-#include <cerrno>
 #include <cstdlib>
+#include <limits>
 #include <mutex>
+
+#include "util/parse.hpp"
 
 namespace flexnet {
 
@@ -12,17 +14,14 @@ std::size_t worker_thread_count() noexcept {
     const unsigned hw = std::thread::hardware_concurrency();
     return hw == 0 ? std::size_t{1} : static_cast<std::size_t>(hw);
   };
+  // Only a whole, positive, in-range decimal integer counts; "0", negatives,
+  // "abc", "4x", " 2" and overflowing values all fall back silently.
   const char* env = std::getenv("FLEXNET_THREADS");
-  if (env == nullptr || *env == '\0') return fallback();
-  // Accept only a full, positive, in-range decimal integer; "0", negatives,
-  // "abc", "4x", " 2", and overflowing values all fall back silently.
-  // strtol would skip leading whitespace and signs, so require a digit first.
-  if (*env < '0' || *env > '9') return fallback();
-  char* end = nullptr;
-  errno = 0;
-  const long v = std::strtol(env, &end, 10);
-  if (errno != 0 || *end != '\0' || v < 1) return fallback();
-  return static_cast<std::size_t>(v);
+  const auto count =
+      env != nullptr
+          ? parse_int(env, 1, std::numeric_limits<long long>::max())
+          : std::nullopt;
+  return count ? static_cast<std::size_t>(*count) : fallback();
 }
 
 void parallel_for(std::size_t count,

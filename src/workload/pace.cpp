@@ -5,21 +5,18 @@
 #include <cmath>
 #include <cstring>
 #include <fstream>
-#include <istream>
 #include <ostream>
-#include <sstream>
 #include <stdexcept>
 
 #include "util/binio.hpp"
+#include "util/parse.hpp"
 
 namespace flexnet {
 
 namespace {
 
-[[noreturn]] void parse_error(const std::string& origin, std::size_t line,
-                              const std::string& what) {
-  throw std::runtime_error(origin + ":" + std::to_string(line) + ": " + what);
-}
+/// Longest phase or generator period, in cycles.
+constexpr Cycle kMaxPacePeriod = 1'000'000'000'000;
 
 void hash_mix(std::uint64_t& h, std::uint64_t v) noexcept {
   for (int i = 0; i < 8; ++i) {
@@ -121,36 +118,23 @@ namespace {
 /// Parses "name(a,b,...)" argument lists for the built-in generators.
 std::vector<double> parse_args(const std::string& spec, std::size_t open,
                                std::size_t expected) {
-  if (spec.back() != ')') {
-    throw std::invalid_argument("malformed pace spec: " + spec);
-  }
-  std::vector<double> args;
-  std::size_t pos = open + 1;
-  const std::size_t close = spec.size() - 1;
-  while (pos < close) {
-    std::size_t comma = spec.find(',', pos);
-    if (comma == std::string::npos || comma > close) comma = close;
-    const std::string_view tok(spec.data() + pos, comma - pos);
-    double value = 0.0;
-    const auto [ptr, ec] =
-        std::from_chars(tok.data(), tok.data() + tok.size(), value);
-    if (ec != std::errc{} || ptr != tok.data() + tok.size()) {
-      throw std::invalid_argument("malformed pace argument: " +
-                                  std::string(tok));
-    }
-    args.push_back(value);
-    pos = comma + 1;
-  }
-  if (args.size() != expected) {
+  const auto args =
+      spec.back() == ')'
+          ? parse_finite_list(
+                std::string_view(spec).substr(open + 1, spec.size() - open - 2))
+          : std::nullopt;
+  if (!args) throw std::invalid_argument("malformed pace spec: " + spec);
+  if (args->size() != expected) {
     throw std::invalid_argument("pace spec expects " +
                                 std::to_string(expected) + " arguments: " +
                                 spec);
   }
-  return args;
+  return *args;
 }
 
 Cycle checked_period(double period) {
-  if (!(period >= 2.0) || period != std::floor(period) || period > 1e12) {
+  if (!(period >= 2.0) || period != std::floor(period) ||
+      period > static_cast<double>(kMaxPacePeriod)) {
     throw std::invalid_argument("pace period must be an integer >= 2");
   }
   return static_cast<Cycle>(period);
@@ -213,54 +197,34 @@ PaceProfile parse_pace_spec(const std::string& spec) {
 }
 
 PaceProfile read_pace(std::istream& in, const std::string& origin) {
-  std::string line;
-  std::size_t lineno = 0;
-  if (!std::getline(in, line)) parse_error(origin, 1, "empty pace file");
-  ++lineno;
-  if (line != kPaceMagic) {
-    parse_error(origin, lineno,
-                "bad magic (expected \"" + std::string(kPaceMagic) + "\")");
-  }
+  LineReader r(in, origin, kPaceMagic);
   bool repeat = true;
   std::vector<PacePhase> phases;
-  while (std::getline(in, line)) {
-    ++lineno;
-    if (line.empty() || line[0] == '#') continue;
-    std::istringstream ls(line);
-    std::string kw;
-    ls >> kw;
+  while (r.next()) {
+    const std::string kw(r.field(0));
     if (kw == "repeat") {
-      std::string val;
-      ls >> val;
-      if (val == "on") {
-        repeat = true;
-      } else if (val == "off") {
-        repeat = false;
-      } else {
-        parse_error(origin, lineno, "repeat needs on|off");
-      }
+      r.expect(2, "repeat on|off");
+      repeat = r.boolean(1);
     } else if (kw == "phase") {
+      r.expect(5, "phase <cycles> <rate0> <rate1> <class>");
       PacePhase p;
-      std::string cls;
-      if (!(ls >> p.cycles >> p.rate0 >> p.rate1 >> cls)) {
-        parse_error(origin, lineno, "phase needs: cycles rate0 rate1 class");
-      }
+      p.cycles = r.integer(1, 1, kMaxPacePeriod);
+      p.rate0 = r.finite(2);
+      p.rate1 = r.finite(3);
       try {
-        p.cls = parse_message_class(cls);
+        p.cls = parse_message_class(r.field(4));
       } catch (const std::invalid_argument& e) {
-        parse_error(origin, lineno, e.what());
+        r.fail(e.what());
       }
       phases.push_back(p);
     } else {
-      parse_error(origin, lineno, "unknown directive: " + kw);
+      r.fail("unknown directive: " + kw);
     }
-    std::string extra;
-    if (ls >> extra) parse_error(origin, lineno, "trailing tokens: " + extra);
   }
   try {
     return PaceProfile(std::move(phases), repeat);
   } catch (const std::invalid_argument& e) {
-    parse_error(origin, lineno, e.what());
+    r.fail(e.what());
   }
 }
 

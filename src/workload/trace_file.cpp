@@ -3,56 +3,15 @@
 #include <charconv>
 #include <cstring>
 #include <fstream>
-#include <istream>
+#include <limits>
 #include <ostream>
-#include <sstream>
 #include <stdexcept>
-#include <string_view>
+
+#include "util/parse.hpp"
 
 namespace flexnet {
 
 namespace {
-
-[[noreturn]] void parse_error(const std::string& origin, std::size_t line,
-                              const std::string& what) {
-  throw std::runtime_error(origin + ":" + std::to_string(line) + ": " + what);
-}
-
-/// Splits a line into whitespace-separated tokens.
-std::vector<std::string_view> tokenize(std::string_view line) {
-  std::vector<std::string_view> out;
-  std::size_t pos = 0;
-  while (pos < line.size()) {
-    while (pos < line.size() && (line[pos] == ' ' || line[pos] == '\t')) ++pos;
-    std::size_t end = pos;
-    while (end < line.size() && line[end] != ' ' && line[end] != '\t') ++end;
-    if (end > pos) out.push_back(line.substr(pos, end - pos));
-    pos = end;
-  }
-  return out;
-}
-
-template <typename T>
-T parse_int(std::string_view tok, const std::string& origin, std::size_t line) {
-  T value{};
-  const auto [ptr, ec] =
-      std::from_chars(tok.data(), tok.data() + tok.size(), value);
-  if (ec != std::errc{} || ptr != tok.data() + tok.size()) {
-    parse_error(origin, line, "malformed integer: " + std::string(tok));
-  }
-  return value;
-}
-
-double parse_double(std::string_view tok, const std::string& origin,
-                    std::size_t line) {
-  double value = 0.0;
-  const auto [ptr, ec] =
-      std::from_chars(tok.data(), tok.data() + tok.size(), value);
-  if (ec != std::errc{} || ptr != tok.data() + tok.size()) {
-    parse_error(origin, line, "malformed number: " + std::string(tok));
-  }
-  return value;
-}
 
 /// Shortest round-trip decimal for a double (same policy as util/json).
 std::string format_double(double v) {
@@ -103,129 +62,96 @@ std::uint64_t TraceData::content_hash() const noexcept {
 
 TraceData read_trace(std::istream& in, const std::string& origin) {
   TraceData data;
-  std::string line;
-  std::size_t lineno = 0;
-
-  if (!std::getline(in, line)) parse_error(origin, 1, "empty trace");
-  ++lineno;
-  if (line != kTraceMagic) {
-    parse_error(origin, lineno,
-                "bad magic (expected \"" + std::string(kTraceMagic) + "\")");
-  }
+  LineReader r(in, origin, kTraceMagic);
+  const auto kind = [&r](std::size_t i) {
+    try {
+      return parse_traffic_kind(r.field(i));
+    } catch (const std::invalid_argument& e) {
+      r.fail(e.what());
+    }
+  };
 
   bool have_nodes = false, have_pattern = false, have_load = false;
   bool have_avg = false, have_cap = false, have_off = false;
+  const auto header_complete = [&] {
+    return have_nodes && have_pattern && have_load && have_avg && have_cap &&
+           have_off;
+  };
   bool saw_end = false;
-  Cycle last_cycle = -1;
+  constexpr long long kMaxInt = std::numeric_limits<std::int32_t>::max();
+  constexpr long long kMaxCount = std::numeric_limits<long long>::max();
 
-  while (std::getline(in, line)) {
-    ++lineno;
-    const auto toks = tokenize(line);
-    if (toks.empty()) continue;  // blank lines are allowed
-    const std::string_view kw = toks[0];
-    if (kw == "#") continue;  // comment line
-
-    if (saw_end) parse_error(origin, lineno, "content after end trailer");
+  while (r.next()) {
+    const std::string kw(r.field(0));
+    if (saw_end) r.fail("content after end trailer");
 
     if (kw == "msg") {
-      if (toks.size() != 6) {
-        parse_error(origin, lineno, "msg needs: cycle src dst len class");
-      }
-      if (!(have_nodes && have_pattern && have_load && have_avg && have_cap &&
-            have_off)) {
-        parse_error(origin, lineno, "msg before complete header");
-      }
-      TraceRecord r;
-      r.cycle = parse_int<Cycle>(toks[1], origin, lineno);
-      r.src = parse_int<NodeId>(toks[2], origin, lineno);
-      r.dst = parse_int<NodeId>(toks[3], origin, lineno);
-      r.length = parse_int<std::int32_t>(toks[4], origin, lineno);
+      r.expect(6, "msg <cycle> <src> <dst> <len> <class>");
+      if (!header_complete()) r.fail("msg before complete header");
+      TraceRecord rec;
+      rec.cycle = r.integer(1, 0, kMaxCount);
+      rec.src = static_cast<NodeId>(r.integer(2, 0, data.header.nodes - 1));
+      rec.dst = static_cast<NodeId>(r.integer(3, 0, data.header.nodes - 1));
+      rec.length = static_cast<std::int32_t>(r.integer(4, 1, kMaxInt));
       try {
-        r.cls = parse_message_class(toks[5]);
+        rec.cls = parse_message_class(r.field(5));
       } catch (const std::invalid_argument& e) {
-        parse_error(origin, lineno, e.what());
+        r.fail(e.what());
       }
-      if (r.cycle < 0) parse_error(origin, lineno, "negative cycle");
-      if (r.cycle < last_cycle) {
-        parse_error(origin, lineno, "cycles must be nondecreasing");
+      if (!data.records.empty() && rec.cycle < data.records.back().cycle) {
+        r.fail("cycles must be nondecreasing");
       }
-      if (r.src < 0 || r.src >= data.header.nodes || r.dst < 0 ||
-          r.dst >= data.header.nodes) {
-        parse_error(origin, lineno, "node id out of range");
-      }
-      if (r.src == r.dst) parse_error(origin, lineno, "src == dst");
-      if (r.length < 1) parse_error(origin, lineno, "length must be >= 1");
-      last_cycle = r.cycle;
-      data.records.push_back(r);
+      if (rec.src == rec.dst) r.fail("src == dst");
+      data.records.push_back(rec);
       continue;
     }
     if (kw == "end") {
-      if (toks.size() != 2) parse_error(origin, lineno, "end needs a count");
-      const auto count = parse_int<std::uint64_t>(toks[1], origin, lineno);
-      if (count != data.records.size()) {
-        parse_error(origin, lineno,
-                    "trailer count " + std::to_string(count) + " != " +
-                        std::to_string(data.records.size()) + " records");
+      r.expect(2, "end <count>");
+      const long long count = r.integer(1, 0, kMaxCount);
+      if (static_cast<std::size_t>(count) != data.records.size()) {
+        r.fail("trailer count " + std::to_string(count) + " != " +
+               std::to_string(data.records.size()) + " records");
       }
       saw_end = true;
       continue;
     }
 
     // Header directives: keyword value.
-    if (toks.size() != 2) {
-      parse_error(origin, lineno,
-                  "directive needs one value: " + std::string(kw));
-    }
-    const std::string_view val = toks[1];
+    r.expect(2, kw + " <value>");
     if (kw == "nodes") {
-      data.header.nodes = parse_int<NodeId>(val, origin, lineno);
-      if (data.header.nodes < 2) parse_error(origin, lineno, "nodes must be >= 2");
+      data.header.nodes = static_cast<NodeId>(r.integer(1, 2, kMaxInt));
       have_nodes = true;
     } else if (kw == "pattern") {
-      try {
-        data.header.traffic.pattern = parse_traffic_kind(val);
-      } catch (const std::invalid_argument& e) {
-        parse_error(origin, lineno, e.what());
-      }
+      data.header.traffic.pattern = kind(1);
       have_pattern = true;
     } else if (kw == "load") {
-      data.header.traffic.load = parse_double(val, origin, lineno);
+      data.header.traffic.load = r.finite(1);
       have_load = true;
     } else if (kw == "hotspots") {
       data.header.traffic.hotspot_nodes =
-          parse_int<int>(val, origin, lineno);
+          static_cast<int>(r.integer(1, -kMaxInt - 1, kMaxInt));
     } else if (kw == "hotspot_fraction") {
-      data.header.traffic.hotspot_fraction = parse_double(val, origin, lineno);
+      data.header.traffic.hotspot_fraction = r.finite(1);
     } else if (kw == "hybrid_fraction") {
-      data.header.traffic.hybrid_fraction = parse_double(val, origin, lineno);
+      data.header.traffic.hybrid_fraction = r.finite(1);
     } else if (kw == "hybrid_with") {
-      try {
-        data.header.traffic.hybrid_with = parse_traffic_kind(val);
-      } catch (const std::invalid_argument& e) {
-        parse_error(origin, lineno, e.what());
-      }
+      data.header.traffic.hybrid_with = kind(1);
     } else if (kw == "avg_distance") {
-      data.header.avg_distance = parse_double(val, origin, lineno);
+      data.header.avg_distance = r.finite(1);
       have_avg = true;
     } else if (kw == "capacity") {
-      data.header.capacity = parse_double(val, origin, lineno);
+      data.header.capacity = r.finite(1);
       have_cap = true;
     } else if (kw == "offered") {
-      data.header.offered = parse_double(val, origin, lineno);
+      data.header.offered = r.finite(1);
       have_off = true;
     } else {
-      parse_error(origin, lineno, "unknown directive: " + std::string(kw));
+      r.fail("unknown directive: " + kw);
     }
   }
 
-  if (!saw_end) {
-    parse_error(origin, lineno,
-                "missing end trailer (truncated trace?)");
-  }
-  if (!(have_nodes && have_pattern && have_load && have_avg && have_cap &&
-        have_off)) {
-    parse_error(origin, lineno, "incomplete header");
-  }
+  if (!saw_end) r.fail("missing end trailer (truncated trace?)");
+  if (!header_complete()) r.fail("incomplete header");
   return data;
 }
 

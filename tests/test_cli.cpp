@@ -21,11 +21,11 @@ TEST(Cli, EnumParsersRoundTrip) {
   EXPECT_EQ(parse_routing("DOR"), RoutingKind::DOR);
   EXPECT_EQ(parse_routing("DuatoTFAR"), RoutingKind::DuatoTFAR);
   EXPECT_EQ(parse_selection("Random"), SelectionKind::Random);
-  EXPECT_EQ(parse_traffic("BitReversal"), TrafficKind::BitReversal);
+  EXPECT_EQ(parse_traffic_kind("BitReversal"), TrafficKind::BitReversal);
   EXPECT_EQ(parse_recovery("RemoveRandom"), RecoveryKind::RemoveRandom);
   EXPECT_THROW((void)parse_routing("XYZ"), std::invalid_argument);
   EXPECT_THROW((void)parse_selection(""), std::invalid_argument);
-  EXPECT_THROW((void)parse_traffic("uniform"), std::invalid_argument);
+  EXPECT_THROW((void)parse_traffic_kind("uniform"), std::invalid_argument);
   EXPECT_THROW((void)parse_recovery("oldest"), std::invalid_argument);
 }
 
@@ -129,6 +129,35 @@ TEST(Cli, LoadsSweepParsing) {
 TEST(Cli, MalformedLoadsRejected) {
   EXPECT_THROW((void)loads_from_options(parse({"--loads", "abc"})),
                std::invalid_argument);
+}
+
+TEST(Cli, BadValuesNameTheOption) {
+  // Each of these ran at one time: nan passed the numeric parse and every
+  // unknown boolean spelling read as false.
+  const auto expect_rejected = [](std::initializer_list<const char*> args,
+                                  const std::string& option, bool loads) {
+    const Options opts = parse(args);
+    try {
+      if (loads) {
+        (void)loads_from_options(opts);
+      } else {
+        (void)experiment_from_options(opts);
+      }
+      ADD_FAILURE() << "accepted " << option;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(option), std::string::npos)
+          << e.what();
+    }
+  };
+  expect_rejected({"--loads", "nan"}, "--loads", true);
+  expect_rejected({"--loads", "0.1,inf"}, "--loads", true);
+  expect_rejected({"--loads", "0.1,"}, "--loads", true);
+  expect_rejected({"--short-fraction", "nan"}, "--short-fraction", false);
+  expect_rejected({"--warn-threshold", "nan"}, "--warn-threshold", false);
+  expect_rejected({"--uni", "maybe"}, "--uni", false);
+  expect_rejected({"--shards", "+-2"}, "--shards", false);
+  EXPECT_FALSE(experiment_from_options(parse({"--uni", "yes"}))
+                   .sim.topology.bidirectional);
 }
 
 TEST(Cli, MetricsIntervalIsTheOneCadence) {

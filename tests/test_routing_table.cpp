@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -256,6 +257,38 @@ TEST(TableRouting, LoadRejectsTopologyMismatch) {
       graph_cfg(TopoKind::RandomIrregular, RoutingKind::TableUpDown);
   wrong_mode.route_table_file = path;
   EXPECT_THROW((void)make_net(wrong_mode), std::runtime_error);
+  std::filesystem::remove(path);
+}
+
+TEST(TableRouting, LoadRejectsMalformedChannelTokens) {
+  // A bad token on a route line used to end the channel list silently, so
+  // "route 0 0 1 2 zzz" and "route 0 0 1 2x" loaded and ran, and
+  // "route 0 0 1.7 2" reported a misleading "lists no channels".
+  const std::string path = ::testing::TempDir() + "flexnet_tables_bad.rt";
+  SimConfig cfg = graph_cfg(TopoKind::RandomIrregular, RoutingKind::TableMin);
+  const std::string full = dump_text(tables_of(make_net(cfg)));
+  const std::size_t at = full.find("\nroute ") + 1;
+  const std::size_t end = full.find('\n', at);
+  const std::string line = full.substr(at, end - at);
+  const auto line_no =
+      std::to_string(std::count(full.begin(), full.begin() + at, '\n') + 1);
+  std::size_t dst_end = 5;  // "route <node> <state> <dst>": skip 3 fields
+  for (int i = 0; i < 3; ++i) dst_end = line.find(' ', dst_end + 1);
+  for (const std::string& bad :
+       {line + " zzz", line + "x", line.substr(0, dst_end) + ".7" +
+                                       line.substr(dst_end)}) {
+    std::ofstream(path) << full.substr(0, at) << bad << full.substr(end);
+    cfg.route_table_file = path;
+    try {
+      (void)make_net(cfg);
+      ADD_FAILURE() << "loaded: " << bad;
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_EQ(what.rfind(path + ":" + line_no + ": route field ", 0), 0u)
+          << what;
+      EXPECT_EQ(what.find("no channels"), std::string::npos) << what;
+    }
+  }
   std::filesystem::remove(path);
 }
 

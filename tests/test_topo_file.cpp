@@ -40,7 +40,7 @@ TEST(TopoFile, ParsesWellFormedFile) {
 }
 
 TEST(TopoFile, GoldenRejects) {
-  // Each malformed input must fail loud with std::invalid_argument; the
+  // Each malformed input must fail loud with std::runtime_error; the
   // parser never silently repairs or truncates.
   const char* bad[] = {
       // wrong magic
@@ -75,7 +75,7 @@ TEST(TopoFile, GoldenRejects) {
       "flexnet-topo-v1\nnodes 0\n",
   };
   for (const char* text : bad) {
-    EXPECT_THROW((void)GraphTopology(parse(text)), std::invalid_argument)
+    EXPECT_THROW((void)GraphTopology(parse(text)), std::runtime_error)
         << "accepted: " << text;
   }
 }
@@ -89,8 +89,8 @@ TEST(TopoFile, DisconnectedGraphRejectedAtBuild) {
 TEST(TopoFile, ErrorsNameTheOriginAndLine) {
   try {
     (void)parse("flexnet-topo-v1\nnodes 2\nlink 0 7\n");
-    FAIL() << "expected std::invalid_argument";
-  } catch (const std::invalid_argument& e) {
+    FAIL() << "expected std::runtime_error";
+  } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("test:3"), std::string::npos)
         << e.what();
   }

@@ -180,7 +180,6 @@ TEST(LiveTracing, EventCountsMatchNetworkCounters) {
 TEST(LiveTracing, DisabledTracerChangesNothing) {
   ExperimentConfig cfg = deadlocky_config();
   const ExperimentResult untraced = run_experiment(cfg);
-  cfg.trace.ring_capacity = 4096;
   cfg.trace.forensics = true;
   const ExperimentResult traced = run_experiment(cfg);
   EXPECT_EQ(untraced.window.generated, traced.window.generated);
@@ -237,13 +236,11 @@ TEST(TraceConfig, PointSuffixKeepsFilesDistinct) {
 }
 
 TEST(TraceCli, FlagsReachTraceConfig) {
-  const char* argv[] = {"prog",           "--trace-ring", "1024",
-                        "--trace-chrome", "t.json",       "--trace-bin",
-                        "t.bin",          "--forensics"};
-  const auto opts = Options::parse(8, argv);
+  const char* argv[] = {"prog",  "--trace-chrome", "t.json", "--trace-bin",
+                        "t.bin", "--forensics"};
+  const auto opts = Options::parse(6, argv);
   ASSERT_TRUE(opts.has_value());
   const ExperimentConfig cfg = experiment_from_options(*opts);
-  EXPECT_EQ(cfg.trace.ring_capacity, 1024u);
   EXPECT_EQ(cfg.trace.chrome_path, "t.json");
   EXPECT_EQ(cfg.trace.binary_path, "t.bin");
   EXPECT_TRUE(cfg.trace.forensics);

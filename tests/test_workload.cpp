@@ -238,6 +238,20 @@ TEST(TraceFormat, RejectsOutOfRangeNodesAndSelfTraffic) {
   EXPECT_THROW(parse_text(text), std::runtime_error);
 }
 
+TEST(TraceFormat, RejectsNonFiniteHeaderValues) {
+  // "load nan" used to parse, run, and print the load as "-".
+  for (const char* bad : {"load nan", "load inf", "load 1e999"}) {
+    std::string text = valid_trace_text();
+    text.replace(text.find("load 0.5"), 8, bad);
+    try {
+      (void)parse_text(text);
+      ADD_FAILURE() << "accepted " << bad;
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()).rfind("test:4: ", 0), 0u) << e.what();
+    }
+  }
+}
+
 TEST(TraceFormat, RejectsContentAfterTrailer) {
   EXPECT_THROW(parse_text(valid_trace_text() + "msg 8 0 5 8 bulk\n"),
                std::runtime_error);

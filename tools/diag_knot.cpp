@@ -4,8 +4,14 @@ using namespace flexnet;
 int main(int argc, char** argv) {
   ExperimentConfig cfg;
   cfg.sim.routing = argc > 1 && std::string(argv[1]) == "TFAR" ? RoutingKind::TFAR : RoutingKind::DOR;
-  cfg.sim.vcs = argc > 2 ? std::atoi(argv[2]) : 3;
-  cfg.traffic.load = argc > 3 ? std::atof(argv[3]) : 0.9;
+  const auto vcs = argc > 2 ? parse_int(argv[2], 1, 64) : 3;
+  const auto load = argc > 3 ? parse_finite(argv[3]) : 0.9;
+  if (!vcs || !load) {
+    std::fprintf(stderr, "usage: diag_knot [DOR|TFAR] [vcs] [load]\n");
+    return 1;
+  }
+  cfg.sim.vcs = static_cast<int>(*vcs);
+  cfg.traffic.load = *load;
   cfg.detector.recovery = RecoveryKind::None;  // leave the knot in place
   Simulation sim(cfg);
   Network& net = sim.network();

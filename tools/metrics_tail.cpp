@@ -15,6 +15,7 @@
 // "<path>:<line>: <reason>" and exit 1, so CI can gate on stream integrity.
 #include <chrono>
 #include <cstdio>
+#include <exception>
 #include <fstream>
 #include <string>
 #include <thread>
@@ -124,7 +125,7 @@ void print_final(const JsonValue& rec) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace flexnet;
   std::string error;
   const auto opts = Options::parse(argc, argv, &error);
@@ -135,10 +136,8 @@ int main(int argc, char** argv) {
   const bool follow = opts->get_bool("follow", false);
   const bool summary = opts->get_bool("summary", false);
   const long long idle_limit = opts->get_int("idle-limit", 30);
-  if (opts->positional().size() != 1 || !opts->unread().empty()) {
-    for (const std::string& name : opts->unread()) {
-      std::fprintf(stderr, "unknown option --%s\n", name.c_str());
-    }
+  opts->reject_unread();
+  if (opts->positional().size() != 1) {
     std::fprintf(stderr,
                  "usage: metrics_tail STREAM.ndjson [--follow] [--summary] "
                  "[--idle-limit SECONDS]\n");
@@ -219,4 +218,7 @@ int main(int argc, char** argv) {
     print_sample_line(last_sample);
   }
   return 0;
+} catch (const std::exception& e) {
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return 1;
 }

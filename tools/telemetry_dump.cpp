@@ -6,6 +6,7 @@
 //   ./tools/telemetry_dump run.json --hot         # hot-channel table only
 //   ./tools/telemetry_dump run.json.p0 run.json.p1   # several sweep points
 #include <cstdio>
+#include <exception>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -101,7 +102,7 @@ void print_hot_channels(const JsonValue& root) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace flexnet;
   std::string error;
   const auto opts = Options::parse(argc, argv, &error);
@@ -110,10 +111,8 @@ int main(int argc, char** argv) {
     return 1;
   }
   const bool hot = opts->get_bool("hot", false);
-  if (opts->positional().empty() || !opts->unread().empty()) {
-    for (const std::string& name : opts->unread()) {
-      std::fprintf(stderr, "unknown option --%s\n", name.c_str());
-    }
+  opts->reject_unread();
+  if (opts->positional().empty()) {
     std::fprintf(stderr, "usage: telemetry_dump MANIFEST... [--hot]\n");
     return 1;
   }
@@ -145,4 +144,7 @@ int main(int argc, char** argv) {
     }
   }
   return 0;
+} catch (const std::exception& e) {
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return 1;
 }

@@ -43,19 +43,19 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "argument error: %s\n", error.c_str());
     return 1;
   }
-  if (opts->get_bool("help", false)) {
-    std::printf(
-        "usage: topo_dump --topology "
-        "torus|mesh|fullmesh|dragonfly|random|file:<path>\n"
-        "  torus/mesh:  --k --n --uni\n"
-        "  dragonfly:   --df-routers --df-globals\n"
-        "  random:      --nodes --degree --topo-seed\n"
-        "  fullmesh:    --nodes\n"
-        "  output:      --dot FILE (Graphviz)  --emit FILE (flexnet-topo-v1)\n");
-    return 0;
-  }
-
   try {
+    if (opts->get_bool("help", false)) {
+      std::printf(
+          "usage: topo_dump --topology "
+          "torus|mesh|fullmesh|dragonfly|random|file:<path>\n"
+          "  torus/mesh:  --k --n --uni\n"
+          "  dragonfly:   --df-routers --df-globals\n"
+          "  random:      --nodes --degree --topo-seed\n"
+          "  fullmesh:    --nodes\n"
+          "  output:      --dot FILE (Graphviz)  --emit FILE (flexnet-topo-v1)\n");
+      return 0;
+    }
+
     SimConfig cfg;
     const std::string topo_arg = opts->get("topology", "torus");
     cfg.topo_kind = parse_topology(topo_arg);
@@ -63,7 +63,8 @@ int main(int argc, char** argv) {
     cfg.topology.k = static_cast<int>(opts->get_int("k", cfg.topology.k));
     cfg.topology.n = static_cast<int>(opts->get_int("n", cfg.topology.n));
     cfg.topology.bidirectional = !opts->get_bool("uni", false);
-    cfg.topology.wrap = topo_arg != "mesh" && !opts->get_bool("mesh", false);
+    const bool mesh = opts->get_bool("mesh", false);  // read even for "mesh"
+    cfg.topology.wrap = topo_arg != "mesh" && !mesh;
     cfg.topo_nodes = static_cast<int>(opts->get_int("nodes", cfg.topo_nodes));
     cfg.topo_degree =
         static_cast<int>(opts->get_int("degree", cfg.topo_degree));
@@ -72,6 +73,9 @@ int main(int argc, char** argv) {
     cfg.topo_df_globals =
         static_cast<int>(opts->get_int("df-globals", cfg.topo_df_globals));
     cfg.topo_seed = static_cast<std::uint64_t>(opts->get_int("topo-seed", 1));
+    const std::string dot_path = opts->get("dot");
+    const std::string emit_path = opts->get("emit");
+    opts->reject_unread();
 
     const auto topo = make_topology(cfg);
 
@@ -94,11 +98,11 @@ int main(int argc, char** argv) {
       std::printf("    %3zu: %d node(s)\n", degree, count);
     }
 
-    if (opts->has("dot")) {
-      write_file(opts->get("dot"), topology_to_dot(*topo));
-      std::printf("DOT written to %s\n", opts->get("dot").c_str());
+    if (!dot_path.empty()) {
+      write_file(dot_path, topology_to_dot(*topo));
+      std::printf("DOT written to %s\n", dot_path.c_str());
     }
-    if (opts->has("emit")) {
+    if (!emit_path.empty()) {
       GraphTopology::Spec spec;
       spec.kind = topo->kind() == TopoKind::Torus ? TopoKind::File : topo->kind();
       spec.name = topo->name();
@@ -107,8 +111,8 @@ int main(int argc, char** argv) {
       for (const ChannelDesc& ch : topo->channels()) {
         spec.links.push_back({ch.src, ch.dst, ch.width});
       }
-      write_file(opts->get("emit"), write_topology_text(spec));
-      std::printf("flexnet-topo-v1 written to %s\n", opts->get("emit").c_str());
+      write_file(emit_path, write_topology_text(spec));
+      std::printf("flexnet-topo-v1 written to %s\n", emit_path.c_str());
     }
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());

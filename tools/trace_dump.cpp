@@ -14,7 +14,7 @@
 #include "trace/sinks.hpp"
 #include "util/options.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace flexnet;
   std::string error;
   const auto opts = Options::parse(argc, argv, &error);
@@ -28,6 +28,22 @@ int main(int argc, char** argv) {
                  "[--from C] [--to C] [--tail N]\n");
     return 1;
   }
+
+  TraceEventKind kind_filter = TraceEventKind::kCount_;
+  if (opts->has("kind")) {
+    kind_filter = parse_trace_event_kind(opts->get("kind"));
+    if (kind_filter == TraceEventKind::kCount_) {
+      std::fprintf(stderr, "unknown event kind: %s\n",
+                   opts->get("kind").c_str());
+      return 1;
+    }
+  }
+  const long long message_filter = opts->get_int("message", -1);
+  const long long from = opts->get_int("from", -1);
+  const long long to = opts->get_int("to", -1);
+  const long long tail = opts->get_int("tail", -1);
+  const bool stats = opts->get_bool("stats", false);
+  opts->reject_unread();
 
   const std::string path = opts->positional().front();
   std::ifstream in(path, std::ios::binary);
@@ -44,19 +60,6 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  TraceEventKind kind_filter = TraceEventKind::kCount_;
-  if (opts->has("kind")) {
-    kind_filter = parse_trace_event_kind(opts->get("kind"));
-    if (kind_filter == TraceEventKind::kCount_) {
-      std::fprintf(stderr, "unknown event kind: %s\n",
-                   opts->get("kind").c_str());
-      return 1;
-    }
-  }
-  const long long message_filter = opts->get_int("message", -1);
-  const long long from = opts->get_int("from", -1);
-  const long long to = opts->get_int("to", -1);
-
   std::vector<TraceEvent> selected;
   for (const TraceEvent& e : events) {
     if (kind_filter != TraceEventKind::kCount_ && e.kind != kind_filter) continue;
@@ -66,7 +69,6 @@ int main(int argc, char** argv) {
     selected.push_back(e);
   }
 
-  const long long tail = opts->get_int("tail", -1);
   if (tail >= 0 && selected.size() > static_cast<std::size_t>(tail)) {
     selected.erase(selected.begin(),
                    selected.end() - static_cast<std::ptrdiff_t>(tail));
@@ -85,7 +87,7 @@ int main(int argc, char** argv) {
     last = e.cycle;
   }
 
-  if (opts->get_bool("stats", false)) {
+  if (stats) {
     std::printf("cycles [%lld, %lld]\n", static_cast<long long>(first),
                 static_cast<long long>(last));
     for (std::size_t i = 0; i < counts.size(); ++i) {
@@ -108,4 +110,7 @@ int main(int argc, char** argv) {
     std::printf("\n");
   }
   return 0;
+} catch (const std::exception& e) {
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return 1;
 }

@@ -105,14 +105,16 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "argument error: %s\n", error.c_str());
     return 1;
   }
-  const bool has_spec = opts->has("spec");
-  if (opts->positional().size() + (has_spec ? 1 : 0) != 1) {
-    std::fprintf(stderr,
-                 "usage: workload_dump FILE.trace|FILE.pace [--head N]\n"
-                 "       workload_dump --spec 'burst(period,duty,peak)'\n");
-    return 1;
-  }
   try {
+    const bool has_spec = opts->has("spec");
+    const long long head = opts->get_int("head", 0);
+    opts->reject_unread();
+    if (opts->positional().size() + (has_spec ? 1 : 0) != 1) {
+      std::fprintf(stderr,
+                   "usage: workload_dump FILE.trace|FILE.pace [--head N]\n"
+                   "       workload_dump --spec 'burst(period,duty,peak)'\n");
+      return 1;
+    }
     if (has_spec) {
       dump_pace(parse_pace_spec(opts->get("spec")), opts->get("spec"));
       return 0;
@@ -124,14 +126,14 @@ int main(int argc, char** argv) {
       return 1;
     }
     std::string magic;
-    std::getline(probe, magic);
+    probe >> magic;  // line 1's first token, whatever its line end
     probe.close();
     if (magic == kPaceMagic) {
       dump_pace(load_pace_file(path), path);
     } else {
       // Anything else goes through the trace parser, whose bad-magic error
       // names the expected format.
-      dump_trace(path, opts->get_int("head", 0));
+      dump_trace(path, head);
     }
   } catch (const std::exception& e) {
     std::fprintf(stderr, "%s\n", e.what());
