@@ -82,6 +82,30 @@ BENCHMARK(BM_NetworkStepSharded)
     ->Arg(8)
     ->UseRealTime();
 
+/// The step on a 16-ary 3-cube (4096 routers, 2 TFAR VCs per channel, load
+/// 0.5, one shard): the flexbench torus configuration at 1/8 the size, so
+/// the per-hop cost of the transmit layout (flit arena, VcState lines) has
+/// a layer-level number. Recovery stays on during warmup; the measured loop
+/// is injection plus step, as in BM_NetworkStep. Not gated.
+void BM_NetworkStep3D(benchmark::State& state) {
+  ExperimentConfig cfg;
+  cfg.sim.topology.k = 16;
+  cfg.sim.topology.n = 3;
+  cfg.sim.routing = RoutingKind::TFAR;
+  cfg.sim.vcs = 2;
+  cfg.traffic.load = 0.5;
+  cfg.detector.keep_records = false;
+  auto sim = std::make_unique<Simulation>(cfg);
+  sim->run_cycles(1000);
+  for (auto _ : state) {
+    sim->injection().tick(sim->network());
+    sim->network().step();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          sim->network().topology().num_nodes());
+}
+BENCHMARK(BM_NetworkStep3D);
+
 /// Empty-network cycle rate: the activity-gated scheduler's floor. With no
 /// messages anywhere all three active sets are empty, so a step is three
 /// first()-returns-(-1) probes — cost independent of network size. The dense

@@ -10,11 +10,13 @@
 //
 //   ./deadlock_anatomy [--routing DOR|TFAR] [--vcs N] [--load X] [--k N]
 //                      [--uni] [--seed S] [--max-cycles C] [--dot FILE]
-//                      [--trace-chrome FILE] [--ring N]
+//                      [--trace-chrome FILE] [--ring N (1..4194304)]
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <memory>
+#include <optional>
+#include <stdexcept>
 #include <string>
 
 #include "flexnet.hpp"
@@ -64,8 +66,17 @@ int main(int argc, char** argv) try {
   cfg.detector.recovery = RecoveryKind::None;  // keep the specimen intact
   const auto max_cycles =
       static_cast<std::int64_t>(opts->get_int("max-cycles", 100000));
-  const auto ring_capacity =
-      static_cast<std::size_t>(opts->get_int("ring", 1 << 16));
+  // The ring is allocated whole before the run, so its size is bounded:
+  // 2^22 events is about 170 MB.
+  constexpr long long kMaxRing = 1 << 22;
+  const std::string ring_arg = opts->get("ring", std::to_string(1 << 16));
+  const std::optional<long long> ring_events = parse_int(ring_arg, 1, kMaxRing);
+  if (!ring_events) {
+    throw std::invalid_argument("option --ring expects an integer in [1, " +
+                                std::to_string(kMaxRing) + "], got '" +
+                                ring_arg + "'");
+  }
+  const auto ring_capacity = static_cast<std::size_t>(*ring_events);
   const std::string chrome_path = opts->get("trace-chrome");
   const std::string dot_path = opts->get("dot");
   opts->reject_unread();

@@ -2,19 +2,25 @@
 
 #include <cassert>
 #include <stdexcept>
+#include <string>
 
 #include "util/binio.hpp"
 
 namespace flexnet {
 
-FlitFifo::FlitFifo(int capacity) {
+FlitFifo::FlitFifo(Flit* slots, int capacity)
+    : slots_(slots), capacity_(capacity) {
   if (capacity < 1) throw std::invalid_argument("FlitFifo capacity must be >= 1");
-  slots_.resize(static_cast<std::size_t>(capacity));
 }
 
 const Flit& FlitFifo::at(int i) const {
   assert(i >= 0 && i < count_);
-  return slots_[static_cast<std::size_t>((head_ + i) % capacity())];
+  return slots_[(head_ + i) % capacity_];
+}
+
+Flit& FlitFifo::at(int i) {
+  assert(i >= 0 && i < count_);
+  return slots_[(head_ + i) % capacity_];
 }
 
 void FlitFifo::save_state(BinWriter& out) const {

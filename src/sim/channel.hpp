@@ -9,10 +9,17 @@ namespace flexnet {
 /// One virtual channel. The buffer models the edge buffer at the channel's
 /// downstream end; a VC is exclusively owned by one message from header
 /// allocation until the tail flit leaves the buffer (free <=> buffer empty).
-struct VcState {
+/// A VcState owns no heap memory (its buffer is a view into the Network's
+/// flit arena) and fills exactly one cache line, so a flit hop touches one
+/// line per VC it reads.
+struct alignas(64) VcState {
   VcId id = kInvalidVc;
   ChannelId channel = kInvalidChannel;
   int index = 0;  ///< Position within the owning physical channel.
+  /// Channel of route_out (kInvalidChannel while unrouted): cached so a hop
+  /// wakes the downstream channel without reading the downstream VC. Set
+  /// with route_out, cleared by release(), derived on snapshot restore.
+  ChannelId out_channel = kInvalidChannel;
 
   MessageId owner = kInvalidMessage;
   VcId route_out = kInvalidVc;  ///< Downstream VC the owner forwards into.
@@ -20,16 +27,19 @@ struct VcState {
                                 ///< when fed directly by the source queue).
   FlitFifo buffer;
 
-  explicit VcState(int buffer_capacity) : buffer(buffer_capacity) {}
+  VcState(Flit* slots, int buffer_capacity) : buffer(slots, buffer_capacity) {}
 
   [[nodiscard]] bool is_free() const noexcept { return owner == kInvalidMessage; }
 
   void release() noexcept {
     owner = kInvalidMessage;
     route_out = kInvalidVc;
+    out_channel = kInvalidChannel;
     route_in = kInvalidVc;
   }
 };
+
+static_assert(sizeof(VcState) == 64, "a VcState is one cache line");
 
 /// One physical channel with its contiguous block of VCs and the round-robin
 /// pointer used to arbitrate the single flit it can transmit per cycle.

@@ -109,14 +109,16 @@ Network::Network(const SimConfig& config, NetworkDeps deps)
     pc.first_vc = static_cast<VcId>(total_vcs);
     total_vcs += static_cast<std::size_t>(pc.num_vcs);
   }
+  const auto depth = static_cast<std::size_t>(config_.buffer_depth);
+  flit_arena_.resize(total_vcs * depth);
   vcs_.reserve(total_vcs);
   for (const PhysChannel& pc : phys_) {
     for (int i = 0; i < pc.num_vcs; ++i) {
-      VcState vc(config_.buffer_depth);
-      vc.id = static_cast<VcId>(vcs_.size());
+      VcState& vc = vcs_.emplace_back(&flit_arena_[vcs_.size() * depth],
+                                      config_.buffer_depth);
+      vc.id = static_cast<VcId>(vcs_.size() - 1);
       vc.channel = pc.id;
       vc.index = i;
-      vcs_.push_back(std::move(vc));
     }
   }
 
@@ -216,16 +218,11 @@ MessageId Network::enqueue_message(NodeId src, NodeId dst, std::int32_t length,
   messages_.push_back(std::move(msg));
   active_pos_.push_back(-1);
   source_queues_[static_cast<std::size_t>(src)].push_back(id);
+  ++queued_;
   node_ctx(src).src_active.insert(src);  // schedule the next grant pass
   ++counters_.generated;
   ++counters_.class_generated[class_index(cls)];
   return id;
-}
-
-std::int64_t Network::queued_message_count() const noexcept {
-  std::int64_t total = 0;
-  for (const auto& q : source_queues_) total += static_cast<std::int64_t>(q.size());
-  return total;
 }
 
 double Network::capacity_flits_per_node(double avg_distance) const noexcept {
@@ -350,7 +347,8 @@ void Network::check_invariants() const {
   for (const VcState& vc : vcs_) {
     if (vc.is_free()) {
       if (!vc.buffer.empty()) invariant_failure("free VC with buffered flits");
-      if (vc.route_out != kInvalidVc || vc.route_in != kInvalidVc) {
+      if (vc.route_out != kInvalidVc || vc.route_in != kInvalidVc ||
+          vc.out_channel != kInvalidChannel) {
         invariant_failure("free VC with route state");
       }
       continue;
@@ -360,9 +358,19 @@ void Network::check_invariants() const {
       invariant_failure("VC owned by a finished message");
     }
     for (int i = 0; i < vc.buffer.size(); ++i) {
-      if (vc.buffer.at(i).message != vc.owner) {
+      const Flit& flit = vc.buffer.at(i);
+      if (flit.message != vc.owner) {
         invariant_failure("buffered flit does not belong to the VC owner");
       }
+      if (flit.arrived >= now_) {
+        invariant_failure("buffered flit arrived in the current cycle or later");
+      }
+      if (flit.tail != flit.is_tail_of(owner.length)) {
+        invariant_failure("flit tail bit disagrees with its message length");
+      }
+    }
+    if (vc.out_channel != channel_of(vc.route_out)) {
+      invariant_failure("cached out_channel disagrees with route_out");
     }
     if (std::find(owner.held.begin(), owner.held.end(), vc.id) ==
         owner.held.end()) {
@@ -406,6 +414,12 @@ void Network::check_invariants() const {
       invariant_failure("pending VC front is not a header flit");
     }
   }
+
+  std::int64_t queued = 0;
+  for (const auto& queue : source_queues_) {
+    queued += static_cast<std::int64_t>(queue.size());
+  }
+  if (queued != queued_) invariant_failure("queued message count drifted");
 
   // Active-set coverage: the event-driven core must never deschedule a
   // component that still has work. src_active is exact; the other two are
@@ -621,12 +635,32 @@ void Network::restore_state(BinReader& in, std::uint32_t version) {
     messages_.push_back(std::move(msg));
   }
 
+  // The cached per-VC and per-flit facts are derived, not stored.
+  for (VcState& vc : vcs_) {
+    if (vc.route_out < kInvalidVc ||
+        vc.route_out >= static_cast<VcId>(vcs_.size())) {
+      snapshot_mismatch("route_out out of range");
+    }
+    vc.out_channel = channel_of(vc.route_out);
+    for (int i = 0; i < vc.buffer.size(); ++i) {
+      Flit& flit = vc.buffer.at(i);
+      if (flit.message < 0 ||
+          static_cast<std::uint64_t>(flit.message) >= num_messages) {
+        snapshot_mismatch("buffered flit of an unknown message");
+      }
+      flit.tail = flit.is_tail_of(
+          messages_[static_cast<std::size_t>(flit.message)].length);
+    }
+  }
+
   if (in.u64() != source_queues_.size()) snapshot_mismatch("node count");
+  queued_ = 0;
   for (auto& queue : source_queues_) {
     const std::uint64_t len = in.u64();
     if (len > num_messages) snapshot_mismatch("source queue length");
     queue.clear();
     for (std::uint64_t i = 0; i < len; ++i) queue.push_back(in.i64());
+    queued_ += static_cast<std::int64_t>(len);
   }
 
   const std::uint64_t num_active = in.u64();

@@ -166,8 +166,10 @@ class Network {
     for (const ShardCtx& ctx : shard_ctx_) epoch += ctx.epoch;
     return epoch;
   }
-  /// Messages still waiting in source queues.
-  [[nodiscard]] std::int64_t queued_message_count() const noexcept;
+  /// Messages still waiting in source queues (a running count, O(1)).
+  [[nodiscard]] std::int64_t queued_message_count() const noexcept {
+    return queued_;
+  }
   /// Messages waiting in one node's source queue.
   [[nodiscard]] std::size_t source_queue_length(NodeId node) const noexcept {
     return source_queues_[static_cast<std::size_t>(node)].size();
@@ -267,9 +269,14 @@ class Network {
   void inject_link_faults();
   [[nodiscard]] bool network_strongly_connected() const;
   /// Superset condition keeping a channel scheduled: some owned VC could
-  /// move a flit now or next cycle (flit age is deliberately ignored — a
-  /// flit that arrived this cycle becomes movable on the next one).
+  /// move a flit now or next cycle (a flit pushed in this cycle's transmit
+  /// is movable from the next one, so age never enters the test).
   [[nodiscard]] bool transmit_work_possible(const PhysChannel& pc) const;
+  /// The channel carrying `vc` (kInvalidChannel for kInvalidVc).
+  [[nodiscard]] ChannelId channel_of(VcId vc) const noexcept {
+    return vc == kInvalidVc ? kInvalidChannel
+                            : vcs_[static_cast<std::size_t>(vc)].channel;
+  }
   /// Recomputes every shard's active sets from current state (set_shards and
   /// snapshot restore; the sets are never serialized).
   void rebuild_active_sets();
@@ -341,12 +348,16 @@ class Network {
   std::unique_ptr<SelectionPolicy> selection_;
 
   std::vector<PhysChannel> phys_;  // network channels, then injection, then ejection
+  // Every VC's buffer slots, buffer_depth per VC in VC-id order; each
+  // VcState::buffer views its block. Sized once at construction.
+  std::vector<Flit> flit_arena_;
   std::vector<VcState> vcs_;
   ChannelId first_injection_ = kInvalidChannel;
   ChannelId first_ejection_ = kInvalidChannel;
 
   std::vector<Message> messages_;
   std::vector<std::deque<MessageId>> source_queues_;
+  std::int64_t queued_ = 0;  // sum of source_queues_ sizes
   std::vector<MessageId> active_;
   std::vector<std::int32_t> active_pos_;  // message id -> index in active_
   std::vector<VcId> pending_;             // VCs holding unrouted headers

@@ -193,20 +193,20 @@ void Network::deliver_shard(ShardCtx& ctx) {
     for (int j = 0; j < pc.num_vcs; ++j) {
       const int idx = (pc.rr_cursor + j) % pc.num_vcs;
       VcState& w = vcs_[static_cast<std::size_t>(pc.first_vc + idx)];
-      if (w.buffer.empty() || w.buffer.front().arrived >= now_) continue;
+      // Every buffered flit is at least a cycle old here: flits land in T3
+      // of transmit, and the cycle advances before the next deliver.
+      if (w.buffer.empty()) continue;
       const Flit flit = w.buffer.pop();
       ctx.chan_active.insert(pc.id);  // freed space: the ejector can pull again
-      Message& msg = messages_[static_cast<std::size_t>(flit.message)];
-      ++msg.flits_delivered;
+      ++messages_[static_cast<std::size_t>(flit.message)].flits_delivered;
       ++ctx.flits_delivered;
-      const bool tail = flit.is_tail_of(msg.length);
-      if (tail || hooks_.tracer != nullptr) {
+      if (flit.tail || hooks_.tracer != nullptr) {
         ShardDelivery rec;
         rec.node = node;
-        rec.msg = msg.id;
+        rec.msg = flit.message;
         rec.eject_vc = w.id;
         rec.seq = flit.seq;
-        rec.tail = tail;
+        rec.tail = flit.tail;
         ctx.deliveries.push_back(rec);
       }
       pc.rr_cursor = (idx + 1) % pc.num_vcs;
@@ -431,6 +431,7 @@ void Network::claim_vc(Message& msg, VcState& from, VcState& target,
   target.owner = msg.id;
   target.route_in = from.id;
   from.route_out = target.id;
+  from.out_channel = target.channel;
   msg.held.push_back(target.id);
   ++ctx.epoch;  // new solid arc; the unblocked message drops its dashed arcs
   // The target channel is out of the header's router, so it belongs to this
@@ -474,7 +475,10 @@ void Network::commit_route() {
   pending_.swap(scratch_pending_);
   blocked_count_ = static_cast<int>(pending_.size());
 
-  for (const ShardCtx& ctx : shard_ctx_) counters_.injected += ctx.injected;
+  for (const ShardCtx& ctx : shard_ctx_) {
+    counters_.injected += ctx.injected;
+    queued_ -= ctx.injected;  // each grant popped one source-queue entry
+  }
   flush_traces();
 }
 
@@ -526,8 +530,10 @@ void Network::transmit_decide_shard(ShardCtx& ctx) {
         if (w.is_free() || w.route_in == kInvalidVc || w.buffer.full()) {
           continue;
         }
+        // A non-empty upstream buffer holds only flits from earlier cycles
+        // (this cycle's pushes happen in T3), so its front may move.
         const VcState& u = vcs_[static_cast<std::size_t>(w.route_in)];
-        if (u.buffer.empty() || u.buffer.front().arrived >= now_) continue;
+        if (u.buffer.empty()) continue;
         ShardMove move;
         move.channel = pc.id;
         move.dst_vc = w.id;
@@ -554,6 +560,8 @@ void Network::transmit_pop_shard(ShardCtx& ctx) {
 }
 
 void Network::transmit_push_shard(ShardCtx& ctx) {
+  // A lone shard owns every channel, so it skips the ownership lookups.
+  const bool foreign_possible = shard_ctx_.size() > 1;
   for (const ShardMove& move : ctx.moves) {
     PhysChannel& pc = phys_[static_cast<std::size_t>(move.channel)];
     VcState& w = vcs_[static_cast<std::size_t>(move.dst_vc)];
@@ -563,6 +571,7 @@ void Network::transmit_push_shard(ShardCtx& ctx) {
       Flit flit;
       flit.message = msg.id;
       flit.seq = msg.flits_sent++;
+      flit.tail = flit.is_tail_of(msg.length);
       flit.arrived = now_;
       w.buffer.push(flit);
       if (flit.is_head()) {
@@ -571,11 +580,10 @@ void Network::transmit_push_shard(ShardCtx& ctx) {
         add.vc = w.id;
         ctx.pending_adds.push_back(add);
       }
-      if (w.route_out != kInvalidVc) {
+      if (w.out_channel != kInvalidChannel) {
         // A routed head is already downstream; its channel leaves this node,
         // so it is ours to wake directly.
-        ctx.chan_active.insert(
-            vcs_[static_cast<std::size_t>(w.route_out)].channel);
+        ctx.chan_active.insert(w.out_channel);
       }
       if (hooks_.heatmap != nullptr) hooks_.heatmap->on_traversal(pc.id, w.id);
       if (hooks_.tracer != nullptr) {
@@ -589,16 +597,16 @@ void Network::transmit_push_shard(ShardCtx& ctx) {
     Flit flit = move.flit;
     assert(flit.message == w.owner);
     VcState& u = vcs_[static_cast<std::size_t>(move.upstream)];
-    Message& msg = messages_[static_cast<std::size_t>(flit.message)];
     // Freed buffer space upstream: wake the feeding channel (often another
     // shard's — route through the outbox).
-    if (shard_of_channel(u.channel) == ctx.shard) {
+    if (!foreign_possible || shard_of_channel(u.channel) == ctx.shard) {
       ctx.chan_active.insert(u.channel);
     } else {
       ctx.wake_outbox.push_back(u.channel);
     }
-    const bool tail_left_upstream = flit.is_tail_of(msg.length);
+    const bool tail_left_upstream = flit.tail;
     if (tail_left_upstream) {
+      Message& msg = messages_[static_cast<std::size_t>(flit.message)];
       assert(!msg.held.empty() && msg.held.front() == u.id);
       msg.held.erase(msg.held.begin());
       u.release();
@@ -609,10 +617,9 @@ void Network::transmit_push_shard(ShardCtx& ctx) {
     w.buffer.push(flit);
     if (pc.kind == ChannelKind::Ejection) {
       ctx.eject_active.insert(pc.dst);  // the reception interface has work
-    } else if (w.route_out != kInvalidVc) {
-      const ChannelId next =
-          vcs_[static_cast<std::size_t>(w.route_out)].channel;
-      if (shard_of_channel(next) == ctx.shard) {
+    } else if (w.out_channel != kInvalidChannel) {
+      const ChannelId next = w.out_channel;
+      if (!foreign_possible || shard_of_channel(next) == ctx.shard) {
         ctx.chan_active.insert(next);
       } else {
         ctx.wake_outbox.push_back(next);
@@ -620,10 +627,10 @@ void Network::transmit_push_shard(ShardCtx& ctx) {
     }
     if (hooks_.heatmap != nullptr) hooks_.heatmap->on_traversal(pc.id, w.id);
     if (hooks_.tracer != nullptr) {
-      buffer_trace(ctx, key, TraceEventKind::FlitHopped, msg.id, w.id, u.id,
-                   flit.seq);
+      buffer_trace(ctx, key, TraceEventKind::FlitHopped, flit.message, w.id,
+                   u.id, flit.seq);
       if (tail_left_upstream) {
-        buffer_trace(ctx, key, TraceEventKind::VcFreed, msg.id, u.id);
+        buffer_trace(ctx, key, TraceEventKind::VcFreed, flit.message, u.id);
       }
     }
     if (flit.is_head() && pc.kind != ChannelKind::Ejection) {
