@@ -361,14 +361,49 @@ void BM_DetectionIncremental(benchmark::State& state, double load) {
 BENCHMARK_CAPTURE(BM_DetectionIncremental, idle, 0.05);
 BENCHMARK_CAPTURE(BM_DetectionIncremental, sat, 0.5);
 
-/// Allocation-free rebuild into the detector's persistent scratch — the hot
-/// path behind every non-skipped pass. Contrast with BM_CwgBuild, which
-/// constructs a fresh Cwg (and all its vectors) from scratch each call.
+/// One detection pass that cannot be skipped, on the BM_NetworkStep3D
+/// network (16-ary 3-cube, TFAR, 2 VCs, load 0.5; the flexbench torus at 1/8
+/// the size): the knot search over every blocked message, at the scale
+/// where the pass is a layer-level cost. Two identical networks alternate,
+/// so the detector's (network, arc epoch) verdict cache never hits; its
+/// recovery is off, so both stay frozen. Not gated.
+void BM_DetectionPass3D(benchmark::State& state) {
+  ExperimentConfig cfg;
+  cfg.sim.topology.k = 16;
+  cfg.sim.topology.n = 3;
+  cfg.sim.routing = RoutingKind::TFAR;
+  cfg.sim.vcs = 2;
+  cfg.traffic.load = 0.5;
+  cfg.detector.keep_records = false;
+  std::unique_ptr<Simulation> sims[2];
+  for (auto& sim : sims) {
+    sim = std::make_unique<Simulation>(cfg);
+    sim->run_cycles(1000);
+  }
+  DetectorConfig det_cfg;
+  det_cfg.recovery = RecoveryKind::None;
+  det_cfg.keep_records = false;
+  DeadlockDetector detector(det_cfg, 1);
+  std::size_t turn = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(detector.run_detection(sims[turn]->network()));
+    turn ^= 1;
+  }
+  state.counters["skipped"] = static_cast<double>(detector.skipped_passes());
+  state.counters["closure"] =
+      static_cast<double>(detector.pressure().closure_size);
+}
+BENCHMARK(BM_DetectionPass3D);
+
+/// Allocation-free rebuild into a persistent Cwg — what the detector pays on
+/// a pass that needs a CWG (a hooked knot, a total-cycle sample, the
+/// oracle). Contrast with BM_CwgBuild, which constructs a fresh Cwg (and all
+/// its vectors) from scratch each call.
 void BM_CwgRebuild(benchmark::State& state) {
   auto sim = saturated_sim(16, 0.5);
-  CwgScratch scratch;
+  Cwg cwg;
   for (auto _ : state) {
-    const Cwg& cwg = scratch.rebuild(sim->network());
+    cwg.rebuild_from_network(sim->network());
     benchmark::DoNotOptimize(cwg.num_blocked_messages());
   }
 }

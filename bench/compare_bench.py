@@ -14,6 +14,11 @@ of every gated benchmark.) The gate then compares *normalized* times:
 
     regression = (fresh[b] / fresh[cal]) / (base[b] / base[cal]) - 1
 
+Each time is the median of the summary's repetitions (bench/run_bench.sh runs
+every benchmark five times), so a single slow or fast repetition on a shared
+host moves neither side; a summary recorded without repetitions still
+compares, as its single run.
+
 Sharded scaling is gated separately on an intra-summary wall-clock ratio
 (no calibration needed): BM_NetworkStepSharded/8 must run >= 3x faster than
 /1 on hosts with >= 8 hardware threads.
@@ -95,7 +100,7 @@ def main():
     args = parser.parse_args()
 
     try:
-        base, _, _ = load_summary(args.baseline)
+        base, _, base_meta = load_summary(args.baseline)
         fresh, fresh_real, fresh_meta = load_summary(args.fresh)
     except (OSError, KeyError, ValueError) as err:
         print(f"error: cannot load summaries: {err}", file=sys.stderr)
@@ -108,6 +113,9 @@ def main():
             return 2
 
     failed = False
+    for side, meta in (("baseline", base_meta), ("fresh", fresh_meta)):
+        print(f"{side}: {meta.get('statistic', 'single')} of "
+              f"{meta.get('repetitions', 1)} repetition(s)")
     print(f"calibration {CALIBRATION}: baseline {base[CALIBRATION]:.0f}ns, "
           f"fresh {fresh[CALIBRATION]:.0f}ns")
     for name in GATED:

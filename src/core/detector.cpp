@@ -57,12 +57,12 @@ int DeadlockDetector::run_detection(Network& net) {
       ++skipped_passes_;
       if (pressure_.valid) pressure_.computed_at = net.now();
       if (cached_knots_.empty()) return 0;
-      return process_knots(net, scratch_.cwg());
+      return process_knots(net);
     }
     if (net.blocked_message_count() == 0) {
       // No blocked messages means no dashed arcs; the CWG is a disjoint
       // union of ownership paths and cannot contain a cycle, let alone a
-      // knot. Skip the rebuild entirely and cache the knot-free verdict.
+      // knot. Skip the search entirely and cache the knot-free verdict.
       cached_knots_.clear();
       cached_density_.clear();
       cached_net_ = &net;
@@ -74,36 +74,60 @@ int DeadlockDetector::run_detection(Network& net) {
     }
   }
 
-  const Cwg& cwg = scratch_.rebuild(net);
-
-  if (sample_due) {
-    cycle_scratch_.load(cwg.graph());
-    const CycleEnumeration total =
-        enumerate_simple_cycles(cycle_scratch_, config_.total_cycle_cap);
-    CycleSample sample;
-    sample.at = net.now();
-    sample.cycles = total.count;
-    sample.capped = total.capped;
-    sample.blocked_messages = cwg.num_blocked_messages();
-    sample.in_network_messages = static_cast<int>(net.active_messages().size());
-    cycle_samples_.push_back(sample);
+  if (config_.full_rebuild) cwg_valid_ = false;  // the oracle always rebuilds
+  if (config_.full_rebuild || sample_due) {
+    const Cwg& cwg = cwg_for(net);
+    if (sample_due) {
+      cycle_scratch_.load(cwg.graph());
+      const CycleEnumeration total =
+          enumerate_simple_cycles(cycle_scratch_, config_.total_cycle_cap);
+      CycleSample sample;
+      sample.at = net.now();
+      sample.cycles = total.count;
+      sample.capped = total.capped;
+      sample.blocked_messages = cwg.num_blocked_messages();
+      sample.in_network_messages =
+          static_cast<int>(net.active_messages().size());
+      cycle_samples_.push_back(sample);
+    }
   }
 
-  cached_knots_ =
-      config_.full_rebuild ? find_knots(cwg) : scratch_.find_knots_blocked();
-  if (!config_.full_rebuild) {
-    const BlockedSubgraphStats& stats = scratch_.blocked_stats();
-    pressure_ = PressureStats{net.now(), stats.closure_size, stats.largest_scc,
-                              stats.knots, true};
+  {
+    ScopedPhase search_timer(profiler_, SimPhase::KnotSearch);
+    if (config_.full_rebuild) {
+      cached_knots_ = find_knots(cwg_);
+    } else {
+      cached_knots_ = search_.run(net);
+      const KnotSearchStats& stats = search_.stats();
+      pressure_ = PressureStats{net.now(), stats.closure_size,
+                                stats.largest_scc, stats.knots, true};
+    }
   }
   cached_density_.assign(cached_knots_.size(), CachedDensity{});
   cached_net_ = &net;
   cached_epoch_ = net.arc_epoch();
   cache_valid_ = !config_.full_rebuild;
-  return process_knots(net, cwg);
+  return process_knots(net);
 }
 
-int DeadlockDetector::process_knots(Network& net, const Cwg& cwg) {
+const Cwg& DeadlockDetector::cwg_for(const Network& net) {
+  if (!cwg_valid_ || cwg_net_ != &net || cwg_epoch_ != net.arc_epoch()) {
+    ScopedPhase build_timer(profiler_, SimPhase::CwgBuild);
+    cwg_.rebuild_from_network(net);
+    cwg_net_ = &net;
+    cwg_epoch_ = net.arc_epoch();
+    cwg_valid_ = true;
+  }
+  return cwg_;
+}
+
+int DeadlockDetector::process_knots(Network& net) {
+  // The CWG handed to hooks (and, in the oracle, read for density) must be
+  // the one from before this pass's first removal: a victim's arcs leave the
+  // network with it. It is fetched at the first confirmed knot — no removal
+  // has happened yet — and that reference serves the rest of the pass.
+  const bool hooked = forensics_ != nullptr || capture_ != nullptr;
+  const Cwg* cwg = config_.full_rebuild ? &cwg_for(net) : nullptr;
   int confirmed = 0;
   for (std::size_t ki = 0; ki < cached_knots_.size(); ++ki) {
     const Knot& knot = cached_knots_[ki];
@@ -116,6 +140,7 @@ int DeadlockDetector::process_knots(Network& net, const Cwg& cwg) {
         continue;
       }
     }
+    if (hooked && cwg == nullptr) cwg = &cwg_for(net);
     ++confirmed;
     ++total_deadlocks_;
     for (const MessageId id : knot.deadlock_set) {
@@ -129,12 +154,18 @@ int DeadlockDetector::process_knots(Network& net, const Cwg& cwg) {
     record.dependent_count = static_cast<int>(knot.dependent_messages.size());
     if (config_.measure_knot_density) {
       // Measured at most once per cached knot: within an epoch the knot
-      // subgraph is frozen, so the enumeration result cannot change.
+      // subgraph is frozen, so the enumeration result cannot change. A
+      // removal earlier in this pass leaves this knot's arcs untouched, so
+      // reading them from the network is exact.
       CachedDensity& cache = cached_density_[ki];
       if (!cache.measured) {
         ScopedPhase density_timer(profiler_, SimPhase::KnotDensity);
-        const CycleEnumeration density = knot_cycle_density(
-            cwg, knot, config_.knot_density_cap, 0, cycle_scratch_);
+        const CycleEnumeration density =
+            config_.full_rebuild
+                ? knot_cycle_density(*cwg, knot, config_.knot_density_cap, 0,
+                                     cycle_scratch_)
+                : knot_cycle_density(net, knot, config_.knot_density_cap, 0,
+                                     cycle_scratch_);
         cache.measured = true;
         cache.count = density.count;
         cache.capped = density.capped;
@@ -161,11 +192,11 @@ int DeadlockDetector::process_knots(Network& net, const Cwg& cwg) {
       }
     }
     if (forensics_ != nullptr) {
-      forensics_->on_deadlock(net, cwg, knot, record.victim,
+      forensics_->on_deadlock(net, *cwg, knot, record.victim,
                               record.knot_cycle_density);
     }
     if (capture_ != nullptr) {
-      capture_->on_knot(net, cwg, knot, record);
+      capture_->on_knot(net, *cwg, knot, record);
     }
     if (record.victim != kInvalidMessage) {
       ScopedPhase recovery_timer(profiler_, SimPhase::Recovery);
@@ -212,6 +243,8 @@ void DeadlockDetector::restore_state(BinReader& in, std::uint32_t version) {
   // a restored detector simply pays one full pass to repopulate it.
   cache_valid_ = false;
   cached_net_ = nullptr;
+  cwg_valid_ = false;
+  cwg_net_ = nullptr;
   cached_knots_.clear();
   cached_density_.clear();
   pressure_ = PressureStats{};

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "core/cwg.hpp"
 #include "core/incremental.hpp"
 #include "core/knot.hpp"
 #include "sim/config.hpp"
@@ -72,8 +73,8 @@ struct DetectorConfig {
   int livelock_hop_limit = 0;
 
   /// Disables the incremental pipeline (arc-epoch gating, verdict reuse,
-  /// blocked-subgraph SCC): every pass rebuilds the CWG and runs Tarjan over
-  /// all VCs. The two paths are bit-identical in verdicts, records, and hook
+  /// the message-level knot search): every pass rebuilds the CWG and runs
+  /// Tarjan over all VCs. The two paths are bit-identical in verdicts, records, and hook
   /// firings; this one exists as the equivalence-test oracle and an escape
   /// hatch (--detector-full-rebuild).
   bool full_rebuild = false;
@@ -95,12 +96,12 @@ struct DeadlockRecord {
 
 /// The detector's CWG-pressure reading, refreshed at every detection pass by
 /// the incremental pipeline: blocked-closure size and largest blocked-SCC
-/// from CwgScratch, plus the knot count. `computed_at` advances on every
+/// from KnotSearch, plus the knot count. `computed_at` advances on every
 /// pass that (re)validates the reading — including epoch-gated skips, where
 /// the unchanged arc epoch proves the stats still describe the live CWG.
 /// Process-local and never serialized (like all scratch state); a restored
 /// detector reports valid=false until its first pass. The full-rebuild
-/// oracle does not produce subgraph stats, so it leaves valid=false too.
+/// oracle does not produce closure stats, so it leaves valid=false too.
 struct PressureStats {
   Cycle computed_at = -1;
   std::int64_t closure_size = 0;  ///< VCs reachable from blocked tips.
@@ -146,9 +147,10 @@ class DeadlockDetector {
   [[nodiscard]] KnotCaptureHook* capture() const noexcept { return capture_; }
 
   /// Attaches a phase profiler (non-owning; nullptr detaches). Detection
-  /// passes are recorded as SimPhase::Detector, victim/livelock removals as
-  /// the nested SimPhase::Recovery and knot density measurements as the
-  /// nested SimPhase::KnotDensity.
+  /// passes are recorded as SimPhase::Detector; inside them, victim/livelock
+  /// removals as SimPhase::Recovery, knot density measurements as
+  /// SimPhase::KnotDensity, the knot search as SimPhase::KnotSearch and CWG
+  /// builds as SimPhase::CwgBuild.
   void set_profiler(PhaseProfiler* profiler) noexcept {
     profiler_ = profiler;
   }
@@ -170,7 +172,7 @@ class DeadlockDetector {
   /// Messages removed by the livelock guard.
   [[nodiscard]] std::int64_t livelocks() const noexcept { return livelocks_; }
   [[nodiscard]] std::int64_t invocations() const noexcept { return invocations_; }
-  /// Passes that skipped the CWG rebuild + SCC because the arc epoch proved
+  /// Passes that skipped the knot search because the arc epoch proved
   /// the graph unchanged (or no message was blocked). Always counted inside
   /// invocations(); 0 when full_rebuild is set.
   [[nodiscard]] std::int64_t skipped_passes() const noexcept {
@@ -204,8 +206,11 @@ class DeadlockDetector {
 
  private:
   /// Quiescence-checks, characterizes, records, and recovers every knot in
-  /// cached_knots_ against the given CWG. Returns the confirmed count.
-  int process_knots(Network& net, const Cwg& cwg);
+  /// cached_knots_. Returns the confirmed count.
+  int process_knots(Network& net);
+  /// The CWG of the network as it stands, rebuilt into cwg_ unless the one
+  /// there was built from `net` at the current arc epoch.
+  const Cwg& cwg_for(const Network& net);
 
   DetectorConfig config_;
   Pcg32 rng_;
@@ -223,12 +228,18 @@ class DeadlockDetector {
   // --- incremental pipeline state (never serialized: save_state/restore_state
   // deliberately exclude everything below so snapshots stay format-stable and
   // path-independent; restore_state just invalidates the cache) --------------
-  CwgScratch scratch_;
+  KnotSearch search_;
+  /// Built only when a pass needs a CWG: a confirmed knot with a forensics
+  /// or capture hook attached, a total-cycle sample, or the oracle.
+  Cwg cwg_;
+  const Network* cwg_net_ = nullptr;
+  std::uint64_t cwg_epoch_ = 0;
+  bool cwg_valid_ = false;
   CycleScratch cycle_scratch_;  ///< Knot density and total-cycle samples.
   std::vector<MessageId> livelock_scratch_;
   std::int64_t skipped_passes_ = 0;
   PressureStats pressure_;
-  /// Knots found by the most recent rebuild, reusable while the arc epoch
+  /// Knots found by the most recent search, reusable while the arc epoch
   /// stands still. Density is measured lazily once per cached knot — the
   /// graph (hence the count) cannot change within an epoch.
   std::vector<Knot> cached_knots_;

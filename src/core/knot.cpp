@@ -3,11 +3,15 @@
 #include <algorithm>
 
 #include "core/scc.hpp"
+#include "sim/network.hpp"
 
 namespace flexnet {
+namespace {
 
-std::vector<Knot> knots_from_scc(const Digraph& g, const SccResult& scc,
-                                 std::span<const int> to_global) {
+/// The knots (terminal SCCs containing an edge) of `g` given its SCC
+/// decomposition, with only knot_vcs filled (ascending; knots ordered by
+/// smallest VC).
+std::vector<Knot> knots_from_scc(const Digraph& g, const SccResult& scc) {
   // A component is terminal when no member has an edge leaving it; it is a
   // knot when it additionally contains an edge (size >= 2, or a self-loop).
   std::vector<bool> terminal(static_cast<std::size_t>(scc.num_components), true);
@@ -39,24 +43,23 @@ std::vector<Knot> knots_from_scc(const Digraph& g, const SccResult& scc,
     const int k =
         knot_of_comp[static_cast<std::size_t>(scc.component[static_cast<std::size_t>(v)])];
     if (k >= 0) {
-      knots[static_cast<std::size_t>(k)].knot_vcs.push_back(
-          to_global.empty() ? v : to_global[static_cast<std::size_t>(v)]);
+      knots[static_cast<std::size_t>(k)].knot_vcs.push_back(v);
     }
   }
 
-  // Tarjan numbers components in DFS-dependent order, which differs between
-  // the full graph and an induced subgraph. Sorting by each knot's smallest
-  // VC (knots are disjoint) makes the output order canonical.
+  // Tarjan numbers components in DFS-dependent order. Sorting by each knot's
+  // smallest VC (knots are disjoint) makes the output order canonical.
   std::sort(knots.begin(), knots.end(), [](const Knot& a, const Knot& b) {
     return a.knot_vcs.front() < b.knot_vcs.front();
   });
   return knots;
 }
 
+/// Fills each knot's deadlock set, resource set, and dependent messages from
+/// the owning CWG (the paper's Section 2.2 characterization).
 void characterize_knots(const Cwg& cwg, std::vector<Knot>& knots) {
   if (knots.empty()) return;
 
-  // Characterize each knot: deadlock set, resource set, dependent messages.
   for (Knot& knot : knots) {
     for (const VcId vc : knot.knot_vcs) {
       const MessageId owner = cwg.owner_of(vc);
@@ -94,6 +97,39 @@ void characterize_knots(const Cwg& cwg, std::vector<Knot>& knots) {
   }
 }
 
+/// Knot cycle density over the arcs `out_arcs(vc, emit)` reports for each
+/// knot VC. The knot-induced subgraph is built straight into CSR: vertex i
+/// is knot_vcs[i], and the ascending knot_vcs maps an arc's head back to its
+/// index by binary search.
+template <typename OutArcs>
+CycleEnumeration knot_density(const Knot& knot, std::int64_t cap,
+                              std::size_t store_limit, CycleScratch& scratch,
+                              OutArcs&& out_arcs) {
+  const std::vector<VcId>& vcs = knot.knot_vcs;
+  scratch.offsets.clear();
+  scratch.targets.clear();
+  scratch.offsets.push_back(0);
+  for (const VcId vc : vcs) {
+    out_arcs(vc, [&](VcId w) {
+      const auto it = std::lower_bound(vcs.begin(), vcs.end(), w);
+      if (it != vcs.end() && *it == w) {
+        scratch.targets.push_back(static_cast<int>(it - vcs.begin()));
+      }
+    });
+    scratch.offsets.push_back(static_cast<int>(scratch.targets.size()));
+  }
+  CycleEnumeration result = enumerate_simple_cycles(scratch, cap, store_limit);
+  // Map stored cycle vertices back to the original VC ids.
+  for (auto& cycle : result.cycles) {
+    for (int& v : cycle) {
+      v = knot.knot_vcs[static_cast<std::size_t>(v)];
+    }
+  }
+  return result;
+}
+
+}  // namespace
+
 std::vector<Knot> find_knots(const Cwg& cwg) {
   const Digraph& g = cwg.graph();
   const SccResult scc = strongly_connected_components(g);
@@ -111,30 +147,29 @@ CycleEnumeration knot_cycle_density(const Cwg& cwg, const Knot& knot,
 CycleEnumeration knot_cycle_density(const Cwg& cwg, const Knot& knot,
                                     std::int64_t cap, std::size_t store_limit,
                                     CycleScratch& scratch) {
-  // The knot-induced subgraph, built straight into CSR: vertex i is
-  // knot_vcs[i], and the ascending knot_vcs maps an arc's head back to its
-  // index by binary search.
-  const std::vector<VcId>& vcs = knot.knot_vcs;
-  scratch.offsets.clear();
-  scratch.targets.clear();
-  scratch.offsets.push_back(0);
-  for (const VcId vc : vcs) {
-    for (const int w : cwg.graph().out(vc)) {
-      const auto it = std::lower_bound(vcs.begin(), vcs.end(), w);
-      if (it != vcs.end() && *it == w) {
-        scratch.targets.push_back(static_cast<int>(it - vcs.begin()));
-      }
-    }
-    scratch.offsets.push_back(static_cast<int>(scratch.targets.size()));
-  }
-  CycleEnumeration result = enumerate_simple_cycles(scratch, cap, store_limit);
-  // Map stored cycle vertices back to the original VC ids.
-  for (auto& cycle : result.cycles) {
-    for (int& v : cycle) {
-      v = knot.knot_vcs[static_cast<std::size_t>(v)];
-    }
-  }
-  return result;
+  return knot_density(knot, cap, store_limit, scratch,
+                      [&](VcId vc, auto&& emit) {
+                        for (const int w : cwg.graph().out(vc)) emit(w);
+                      });
+}
+
+CycleEnumeration knot_cycle_density(const Network& net, const Knot& knot,
+                                    std::int64_t cap, std::size_t store_limit,
+                                    CycleScratch& scratch) {
+  // A CWG row is the solid arc to the next held VC (route_out), or, at a
+  // blocked message's tip, its dashed arcs in request-set order.
+  return knot_density(knot, cap, store_limit, scratch,
+                      [&](VcId vc, auto&& emit) {
+                        const VcState& state = net.vc(vc);
+                        if (state.route_out != kInvalidVc) {
+                          emit(state.route_out);
+                          return;
+                        }
+                        if (state.is_free()) return;
+                        const Message& msg = net.message(state.owner);
+                        if (!msg.blocked) return;
+                        for (const VcId want : msg.request_set) emit(want);
+                      });
 }
 
 bool has_deadlock(const Cwg& cwg) { return !find_knots(cwg).empty(); }

@@ -9,13 +9,14 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "core/cwg.hpp"
 #include "core/cycles.hpp"
 
 namespace flexnet {
+
+class Network;
 
 /// One deadlock, characterized as in the paper's Section 2.2.
 struct Knot {
@@ -36,23 +37,9 @@ struct Knot {
 /// Finds every knot in the CWG. An empty result means no deadlock exists,
 /// regardless of how many cycles the graph contains. Knots are ordered by
 /// their smallest VC — canonical regardless of how the SCC pass numbered
-/// components, so the full-graph and blocked-subgraph pipelines agree.
+/// components, so this full-graph search and the detector's message-level
+/// KnotSearch (core/incremental.hpp) agree.
 [[nodiscard]] std::vector<Knot> find_knots(const Cwg& cwg);
-
-struct SccResult;  // core/scc.hpp
-
-/// Extracts the knots (terminal SCCs containing an edge) of `g` given its
-/// SCC decomposition, filling only knot_vcs (sorted ascending; knots ordered
-/// by smallest VC). When `to_global` is non-empty, `g` is an induced
-/// subgraph and vertex v is reported as to_global[v]; the mapping must be
-/// strictly increasing so sortedness is preserved.
-[[nodiscard]] std::vector<Knot> knots_from_scc(const Digraph& g,
-                                               const SccResult& scc,
-                                               std::span<const int> to_global = {});
-
-/// Fills each knot's deadlock set, resource set, and dependent messages from
-/// the owning CWG (the paper's Section 2.2 characterization).
-void characterize_knots(const Cwg& cwg, std::vector<Knot>& knots);
 
 /// Knot cycle density: the number of unique elementary cycles within the
 /// knot-induced subgraph (1 for the paper's "single-cycle deadlocks").
@@ -65,6 +52,17 @@ void characterize_knots(const Cwg& cwg, std::vector<Knot>& knots);
 /// Same, drawing working memory from `scratch`: a warm scratch makes the
 /// measurement allocation-free unless cycles are stored.
 [[nodiscard]] CycleEnumeration knot_cycle_density(const Cwg& cwg,
+                                                  const Knot& knot,
+                                                  std::int64_t cap,
+                                                  std::size_t store_limit,
+                                                  CycleScratch& scratch);
+
+/// Same count, reading each knot VC's out-arcs from the live network rather
+/// than a built CWG: its route_out, or for a blocked tip its request set, in
+/// the CWG's row order. Stays exact after another knot's victim was removed
+/// (removal touches no surviving message's arcs), so the detector needs no
+/// CWG to measure density.
+[[nodiscard]] CycleEnumeration knot_cycle_density(const Network& net,
                                                   const Knot& knot,
                                                   std::int64_t cap,
                                                   std::size_t store_limit,

@@ -6,19 +6,6 @@
 
 namespace flexnet {
 
-std::string_view to_string(SimPhase phase) noexcept {
-  switch (phase) {
-    case SimPhase::Deliver: return "deliver";
-    case SimPhase::Route: return "route";
-    case SimPhase::Transmit: return "transmit";
-    case SimPhase::Detector: return "detector";
-    case SimPhase::Recovery: return "recovery";
-    case SimPhase::KnotDensity: return "knot_density";
-    case SimPhase::kCount_: break;
-  }
-  return "?";
-}
-
 std::int64_t PhaseProfiler::total_ns() const noexcept {
   std::int64_t total = 0;
   for (std::size_t i = 0; i < kNumSimPhases; ++i) {

@@ -5,20 +5,23 @@
 // makes every hook a single predictable branch, and a ScopedPhase built from
 // nullptr never touches the clock.
 //
-// Nesting: deadlock recovery and knot cycle density run *inside* a detector
-// invocation, so the Detector phase's total includes theirs. total_ns()
+// Nesting: deadlock recovery, knot cycle density, the knot search and CWG
+// builds run *inside* a detector invocation, so the Detector phase's total
+// includes theirs. total_ns()
 // therefore sums only the phases that are not nested (is_nested).
 #pragma once
 
 #include <array>
 #include <chrono>
 #include <cstdint>
+#include <iterator>
 #include <string>
 #include <string_view>
 
 namespace flexnet {
 
-/// The simulator's per-cycle phases, in execution order.
+/// The simulator's per-cycle phases, in execution order. Each entry's name
+/// and nesting are one row of kSimPhaseInfo below.
 enum class SimPhase : std::uint8_t {
   Deliver,      ///< Reception interfaces drain ejection VCs.
   Route,        ///< Injection grants + header VC allocation.
@@ -26,18 +29,38 @@ enum class SimPhase : std::uint8_t {
   Detector,     ///< Deadlock detection pass (includes the nested phases).
   Recovery,     ///< Victim removal inside a detection pass.
   KnotDensity,  ///< Knot cycle density inside a detection pass.
+  KnotSearch,   ///< The knot search (SCC over the wait-for graph) in a pass.
+  CwgBuild,     ///< Building a CWG in a pass (hooks, samples, the oracle).
   kCount_,      ///< Sentinel; not a real phase.
 };
 
 inline constexpr std::size_t kNumSimPhases =
     static_cast<std::size_t>(SimPhase::kCount_);
 
-[[nodiscard]] std::string_view to_string(SimPhase phase) noexcept;
+/// A phase's manifest/table name, and whether it is timed inside Detector
+/// (whose time then already holds it).
+struct SimPhaseInfo {
+  std::string_view name;
+  bool nested;
+};
+
+inline constexpr SimPhaseInfo kSimPhaseInfo[] = {
+    {"deliver", false},      {"route", false},
+    {"transmit", false},     {"detector", false},
+    {"recovery", true},      {"knot_density", true},
+    {"knot_search", true},   {"cwg_build", true},
+};
+static_assert(std::size(kSimPhaseInfo) == kNumSimPhases,
+              "one kSimPhaseInfo row per SimPhase");
+
+[[nodiscard]] constexpr std::string_view to_string(SimPhase phase) noexcept {
+  return kSimPhaseInfo[static_cast<std::size_t>(phase)].name;
+}
 
 /// True for a phase timed inside Detector, whose time Detector's total
 /// already holds.
 [[nodiscard]] constexpr bool is_nested(SimPhase phase) noexcept {
-  return phase == SimPhase::Recovery || phase == SimPhase::KnotDensity;
+  return kSimPhaseInfo[static_cast<std::size_t>(phase)].nested;
 }
 
 class PhaseProfiler {

@@ -62,7 +62,10 @@ void InjectionProcess::tick(Network& net) {
   const NodeId nodes = net.topology().num_nodes();
   const int limit = net.config().source_queue_limit;
   for (NodeId src = 0; src < nodes; ++src) {
-    if (!rng_.chance(probability_)) continue;
+    // Skip straight to the next node whose Bernoulli trial succeeds.
+    src += static_cast<NodeId>(rng_.first_success(
+        probability_, static_cast<std::uint64_t>(nodes - src)));
+    if (src == nodes) break;
     if (limit > 0 &&
         net.source_queue_length(src) >= static_cast<std::size_t>(limit)) {
       ++stalled_;  // source busy: offered load beyond what the node can queue

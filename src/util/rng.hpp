@@ -7,6 +7,7 @@
 // (1, 2, 3, ...) still yield decorrelated streams.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <limits>
 
@@ -90,25 +91,74 @@ class Pcg32 {
     return static_cast<std::uint32_t>(m >> 32);
   }
 
-  /// Uniform double in [0, 1) with 53 bits of randomness.
+  /// Uniform double in [0, 1) with 53 bits of randomness: the first draw
+  /// supplies the high 32 bits, the second the low 21.
   [[nodiscard]] constexpr double uniform() noexcept {
-    const std::uint64_t bits =
-        (static_cast<std::uint64_t>(next()) << 32) | next();
-    return static_cast<double>(bits >> 11) * 0x1.0p-53;
+    const std::uint64_t hi = next();
+    const std::uint64_t lo = next();
+    return static_cast<double>(((hi << 32) | lo) >> 11) * 0x1.0p-53;
   }
 
   /// Bernoulli trial with success probability p.
   [[nodiscard]] constexpr bool chance(double p) noexcept { return uniform() < p; }
 
+  /// Index of the first success among `n` Bernoulli(p) trials, or `n` when
+  /// none succeeds. Returns the same index and leaves the same state, draws
+  /// included, as `for (i = 0; i < n; ++i) if (chance(p)) return i;`, but
+  /// skips ahead: a trial is decided from its first draw alone (the second
+  /// is computed only on a 2^-32 tie) and the state jumps over the second
+  /// draw in one step.
+  [[nodiscard]] std::uint64_t first_success(double p, std::uint64_t n) noexcept {
+    // chance(p) is u * 2^-53 < p for the 53-bit u = hi << 21 | lo >> 11, so
+    // a trial succeeds iff u < T = ceil(p * 2^53) (exact: a power-of-two
+    // scaling), with T = 0 for p <= 0 or NaN and T = 2^53 for p >= 1.
+    std::uint64_t threshold = 0;
+    if (p >= 1.0) {
+      threshold = std::uint64_t{1} << 53;
+    } else if (p > 0.0) {
+      threshold = static_cast<std::uint64_t>(std::ceil(std::ldexp(p, 53)));
+    }
+    const std::uint64_t t_hi = threshold >> 21;
+    const std::uint64_t t_lo = threshold & ((std::uint64_t{1} << 21) - 1);
+    const auto success = [&](std::uint64_t s) {
+      const std::uint64_t hi = output(s);
+      if (hi != t_hi) return hi < t_hi;
+      return (output(s * kMultiplier + inc_) >> 11) < t_lo;
+    };
+    // Two LCG steps (one trial's two draws) map s to mult * s + plus.
+    const std::uint64_t mult = kMultiplier * kMultiplier;
+    const std::uint64_t plus = inc_ * kMultiplier + inc_;
+    std::uint64_t s = state_;  // the state before trial i's first draw
+    for (std::uint64_t i = 0; i < n; ++i) {
+      const bool hit = success(s);
+      s = mult * s + plus;
+      if (hit) {
+        state_ = s;
+        draws_ += 2 * (i + 1);
+        return i;
+      }
+    }
+    state_ = s;
+    draws_ += 2 * n;
+    return n;
+  }
+
  private:
-  constexpr result_type next() noexcept {
-    const std::uint64_t old = state_;
-    state_ = old * 6364136223846793005ULL + inc_;
-    ++draws_;
+  static constexpr std::uint64_t kMultiplier = 6364136223846793005ULL;
+
+  /// The output drawn from state `old` (XSH-RR).
+  static constexpr result_type output(std::uint64_t old) noexcept {
     const auto xorshifted =
         static_cast<std::uint32_t>(((old >> 18u) ^ old) >> 27u);
     const auto rot = static_cast<std::uint32_t>(old >> 59u);
     return (xorshifted >> rot) | (xorshifted << ((0u - rot) & 31u));
+  }
+
+  constexpr result_type next() noexcept {
+    const std::uint64_t old = state_;
+    state_ = old * kMultiplier + inc_;
+    ++draws_;
+    return output(old);
   }
 
   std::uint64_t state_ = 0;

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
 #include <set>
 #include <vector>
 
@@ -138,6 +141,97 @@ TEST(Pcg32, BoundedIsUnbiasedAcrossBuckets) {
   }
   for (const int c : counts) {
     EXPECT_NEAR(static_cast<double>(c) / kSamples, 0.1, 0.01);
+  }
+}
+
+
+/// The loop first_success() must reproduce, draw for draw.
+std::uint64_t first_success_by_loop(Pcg32& rng, double p, std::uint64_t n) {
+  for (std::uint64_t i = 0; i < n; ++i) {
+    if (rng.chance(p)) return i;
+  }
+  return n;
+}
+
+void expect_same_first_success(Pcg32 start, double p, std::uint64_t n) {
+  Pcg32 skip = start;
+  Pcg32 loop = start;
+  const std::uint64_t got = skip.first_success(p, n);
+  const std::uint64_t want = first_success_by_loop(loop, p, n);
+  ASSERT_EQ(got, want) << "p=" << p << " n=" << n;
+  ASSERT_EQ(skip.save(), loop.save()) << "p=" << p << " n=" << n;
+}
+
+TEST(Pcg32, FirstSuccessMatchesTheTrialLoopOverRandomInputs) {
+  Pcg32 meta(2024);
+  for (int trial = 0; trial < 3000; ++trial) {
+    Pcg32 rng(meta(), meta.bounded(4));
+    (void)rng.bounded(1 + meta.bounded(5));  // start off an even draw count
+    // Probabilities from certain failure to near-certain success, with many
+    // tiny ones so long skips (and the all-fail tail) are exercised.
+    const double p = std::ldexp(meta.uniform(), -static_cast<int>(meta.bounded(12)));
+    const std::uint64_t n = meta.bounded(70);
+    expect_same_first_success(rng, p, n);
+    // Consecutive calls, as an injection tick makes them, stay in lockstep.
+    Pcg32 skip = rng;
+    Pcg32 loop = rng;
+    for (std::uint64_t left = 1 + meta.bounded(500); left > 0;) {
+      const std::uint64_t got = skip.first_success(p, left);
+      ASSERT_EQ(got, first_success_by_loop(loop, p, left));
+      ASSERT_EQ(skip.save(), loop.save());
+      left -= std::min(left, got + 1);
+    }
+  }
+}
+
+TEST(Pcg32, FirstSuccessEdgeProbabilities) {
+  const double subnormal = std::numeric_limits<double>::denorm_min();
+  const double edges[] = {0.0,
+                          -0.0,
+                          -1.0,
+                          1.0,
+                          2.0,
+                          std::numeric_limits<double>::infinity(),
+                          -std::numeric_limits<double>::infinity(),
+                          std::numeric_limits<double>::quiet_NaN(),
+                          subnormal,
+                          1e-310,
+                          std::numeric_limits<double>::min(),
+                          std::ldexp(1.0, -53),
+                          std::ldexp(2.0, -53),
+                          std::ldexp(3.0, -53),
+                          std::ldexp(static_cast<double>(1 << 21), -53),
+                          std::ldexp(static_cast<double>((1 << 21) + 1), -53),
+                          std::ldexp(static_cast<double>(0x12345678ULL << 21), -53),
+                          std::nextafter(1.0, 0.0),
+                          0.5,
+                          std::nextafter(0.5, 1.0)};
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    for (const double p : edges) {
+      for (const std::uint64_t n : {0, 1, 3, 4, 5, 8, 33}) {
+        expect_same_first_success(Pcg32(seed, seed % 3), p, n);
+      }
+    }
+  }
+}
+
+TEST(Pcg32, FirstSuccessDecidesFirstDrawTiesByTheSecond) {
+  // A tie — the first draw equals p*2^53's high 32 bits — happens once in
+  // 2^32 trials, so build p around a known first draw: thresholds just
+  // below, at and above the trial's 53-bit value, and the tie's extremes.
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    Pcg32 rng(seed, 5);
+    Pcg32 peek = rng;
+    const std::uint64_t hi = peek();
+    const std::uint64_t lo = peek();
+    const std::uint64_t u = (hi << 21) | (lo >> 11);
+    for (const std::uint64_t t :
+         {u, u + 1, u > 0 ? u - 1 : 0, hi << 21, (hi << 21) | ((1u << 21) - 1)}) {
+      const double p = std::ldexp(static_cast<double>(t), -53);
+      for (const std::uint64_t n : {1, 2, 4, 6}) {
+        expect_same_first_success(rng, p, n);
+      }
+    }
   }
 }
 

@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <fstream>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -212,20 +213,64 @@ TEST(PhaseProfiler, ScopedPhaseAccumulates) {
 TEST(PhaseProfiler, NestedPhasesStayOutOfTheTotal) {
   EXPECT_TRUE(is_nested(SimPhase::Recovery));
   EXPECT_TRUE(is_nested(SimPhase::KnotDensity));
+  EXPECT_TRUE(is_nested(SimPhase::KnotSearch));
+  EXPECT_TRUE(is_nested(SimPhase::CwgBuild));
   EXPECT_FALSE(is_nested(SimPhase::Detector));
   EXPECT_FALSE(is_nested(SimPhase::Transmit));
   EXPECT_EQ(to_string(SimPhase::KnotDensity), "knot_density");
+  EXPECT_EQ(to_string(SimPhase::KnotSearch), "knot_search");
+  EXPECT_EQ(to_string(SimPhase::CwgBuild), "cwg_build");
+  // Every phase has its own name.
+  std::set<std::string_view> names;
+  for (std::size_t i = 0; i < kNumSimPhases; ++i) {
+    names.insert(to_string(static_cast<SimPhase>(i)));
+  }
+  EXPECT_EQ(names.size(), kNumSimPhases);
 
   PhaseProfiler profiler;
   profiler.record(SimPhase::Transmit, 300);
   profiler.record(SimPhase::Detector, 1000);
   profiler.record(SimPhase::Recovery, 100);
   profiler.record(SimPhase::KnotDensity, 600);
-  EXPECT_EQ(profiler.total_ns(), 1300);  // the nested 700 ns is inside Detector
+  profiler.record(SimPhase::KnotSearch, 150);
+  profiler.record(SimPhase::CwgBuild, 50);
+  // The nested 900 ns is inside Detector.
+  EXPECT_EQ(profiler.total_ns(), 1300);
   const std::string table = profiler.table();
-  const std::size_t row = table.find("knot_density");
-  ASSERT_NE(row, std::string::npos);
-  EXPECT_NE(table.find("(in detector)", row), std::string::npos);
+  for (const char* nested : {"knot_density", "knot_search", "cwg_build"}) {
+    const std::size_t row = table.find(nested);
+    ASSERT_NE(row, std::string::npos) << nested;
+    EXPECT_NE(table.find("(in detector)", row), std::string::npos) << nested;
+  }
+}
+
+TEST(PhaseProfiler, DetectorStagesAreTimedInsideAPass) {
+  // A saturated 1-VC unidirectional torus: passes search for knots, and a
+  // capture hook plus total-cycle samples make some of them build a CWG.
+  ExperimentConfig cfg;
+  cfg.sim = torus_4x4();
+  cfg.sim.topology.bidirectional = false;
+  cfg.sim.vcs = 1;
+  cfg.traffic.load = 0.8;
+  cfg.detector.interval = 10;
+  cfg.detector.count_total_cycles = true;
+  cfg.run.warmup = 0;
+  cfg.run.measure = 1000;
+  cfg.telemetry.collect = true;
+  Simulation sim(cfg);
+  const ExperimentResult result = sim.run();
+  ASSERT_GT(result.window.deadlocks, 0);
+  const PhaseProfiler& profiler = sim.telemetry()->profiler();
+  const auto& detector = profiler.stats(SimPhase::Detector);
+  const auto& search = profiler.stats(SimPhase::KnotSearch);
+  const auto& build = profiler.stats(SimPhase::CwgBuild);
+  EXPECT_GT(search.calls, 0);
+  EXPECT_LE(search.calls, detector.calls);
+  EXPECT_GT(build.calls, 0);  // every fifth pass is due a total-cycle sample
+  EXPECT_LE(search.total_ns + build.total_ns +
+                profiler.stats(SimPhase::KnotDensity).total_ns +
+                profiler.stats(SimPhase::Recovery).total_ns,
+            detector.total_ns);
 }
 
 // --- end-to-end: Simulation + manifest ------------------------------------
