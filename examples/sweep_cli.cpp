@@ -182,7 +182,7 @@ int main(int argc, char** argv) {
       std::cout << "Metrics stream(s) written to " << base.obs.metrics_path
                 << (loads.size() > 1 ? " (per-point .pN suffix)" : "") << ", "
                 << warnings << " deadlock warning(s) — tail with "
-                << "tools/metrics_tail\n";
+                << "tools/flexnet-inspect --follow\n";
     }
 
     if (!base.snapshot.capture_dir.empty()) {

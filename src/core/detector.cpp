@@ -191,12 +191,13 @@ int DeadlockDetector::process_knots(Network& net) {
         tracer->emit(event);
       }
     }
-    if (forensics_ != nullptr) {
-      forensics_->on_deadlock(net, *cwg, knot, record.victim,
-                              record.knot_cycle_density);
-    }
-    if (capture_ != nullptr) {
-      capture_->on_knot(net, *cwg, knot, record);
+    if (hooked) {
+      ScopedPhase hook_timer(profiler_, SimPhase::KnotHook);
+      if (forensics_ != nullptr) {
+        forensics_->on_deadlock(net, *cwg, knot, record.victim,
+                                record.knot_cycle_density);
+      }
+      if (capture_ != nullptr) capture_->on_knot(net, *cwg, knot, record);
     }
     if (record.victim != kInvalidMessage) {
       ScopedPhase recovery_timer(profiler_, SimPhase::Recovery);

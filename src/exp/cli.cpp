@@ -52,34 +52,32 @@ TopoKind parse_topology(std::string_view name) {
   unknown("topology (torus|mesh|fullmesh|dragonfly|random|file:<path>)", name);
 }
 
-ExperimentConfig experiment_from_options(const Options& opts) {
-  ExperimentConfig cfg;
-
+void topology_from_options(const Options& opts, SimConfig& sim) {
   // --topology selects the family; "mesh" is torus shorthand for wrap=false,
   // "file:<path>" loads a flexnet-topo-v1 file.
   const std::string topo_arg = opts.get("topology", "torus");
-  cfg.sim.topo_kind = parse_topology(topo_arg);
-  if (cfg.sim.topo_kind == TopoKind::File) {
-    cfg.sim.topo_file = topo_arg.substr(5);
-  }
+  sim.topo_kind = parse_topology(topo_arg);
+  if (sim.topo_kind == TopoKind::File) sim.topo_file = topo_arg.substr(5);
 
-  cfg.sim.topology.k = static_cast<int>(opts.get_int("k", cfg.sim.topology.k));
-  cfg.sim.topology.n = static_cast<int>(opts.get_int("n", cfg.sim.topology.n));
-  cfg.sim.topology.bidirectional = !opts.get_bool("uni", false);
+  sim.topology.k = static_cast<int>(opts.get_int("k", sim.topology.k));
+  sim.topology.n = static_cast<int>(opts.get_int("n", sim.topology.n));
+  sim.topology.bidirectional = !opts.get_bool("uni", false);
   // Read --mesh unconditionally: an option never read counts as unknown.
   const bool mesh = opts.get_bool("mesh", false);
-  cfg.sim.topology.wrap = topo_arg != "mesh" && !mesh;
+  sim.topology.wrap = topo_arg != "mesh" && !mesh;
 
-  cfg.sim.topo_nodes =
-      static_cast<int>(opts.get_int("nodes", cfg.sim.topo_nodes));
-  cfg.sim.topo_degree =
-      static_cast<int>(opts.get_int("degree", cfg.sim.topo_degree));
-  cfg.sim.topo_df_routers =
-      static_cast<int>(opts.get_int("df-routers", cfg.sim.topo_df_routers));
-  cfg.sim.topo_df_globals =
-      static_cast<int>(opts.get_int("df-globals", cfg.sim.topo_df_globals));
-  cfg.sim.topo_seed =
-      static_cast<std::uint64_t>(opts.get_int("topo-seed", 1));
+  sim.topo_nodes = static_cast<int>(opts.get_int("nodes", sim.topo_nodes));
+  sim.topo_degree = static_cast<int>(opts.get_int("degree", sim.topo_degree));
+  sim.topo_df_routers =
+      static_cast<int>(opts.get_int("df-routers", sim.topo_df_routers));
+  sim.topo_df_globals =
+      static_cast<int>(opts.get_int("df-globals", sim.topo_df_globals));
+  sim.topo_seed = static_cast<std::uint64_t>(opts.get_int("topo-seed", 1));
+}
+
+ExperimentConfig experiment_from_options(const Options& opts) {
+  ExperimentConfig cfg;
+  topology_from_options(opts, cfg.sim);
   cfg.sim.route_table_file = opts.get("route-table");
 
   cfg.sim.vcs = static_cast<int>(opts.get_int("vcs", cfg.sim.vcs));

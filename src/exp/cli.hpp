@@ -22,10 +22,15 @@ namespace flexnet {
 /// (lowercase family names; "mesh" maps to Torus with wrap=false).
 [[nodiscard]] TopoKind parse_topology(std::string_view name);
 
-/// Builds a full experiment configuration from options:
+/// Reads the topology family and its generator knobs into `sim`:
 ///   --topology torus|mesh|fullmesh|dragonfly|random|file:<path>
-///   --nodes --degree --df-routers --df-globals --topo-seed --route-table
-///   --k --n --uni --mesh --vcs --buffer --ivcs --evcs --length
+///   --k --n --uni --mesh --nodes --degree --df-routers --df-globals
+///   --topo-seed
+void topology_from_options(const Options& opts, SimConfig& sim);
+
+/// Builds a full experiment configuration from options: the topology flags
+/// above, plus
+///   --route-table --vcs --buffer --ivcs --evcs --length
 ///   --short-length --short-fraction --routing --selection --misroutes
 ///   --faults --queue-limit --seed
 ///   --traffic --load --hotspots --hotspot-fraction --hybrid --hybrid-fraction

@@ -1,6 +1,7 @@
 #include "obs/obs.hpp"
 
 #include <algorithm>
+#include <istream>
 #include <stdexcept>
 
 #include "util/binio.hpp"
@@ -422,6 +423,52 @@ void ObsCollector::restore_state(BinReader& in, std::uint32_t version) {
     for (LogHistogram& h : class_latency_hist_) h.restore_state(in);
     for (std::int64_t& n : prev_class_delivered_) n = in.i64();
   }
+}
+
+MetricsStreamReader::MetricsStreamReader(std::istream& in, std::string origin)
+    : in_(&in), origin_(std::move(origin)) {}
+
+void MetricsStreamReader::fail(const std::string& reason) const {
+  throw std::runtime_error(origin_ + ":" + std::to_string(line_) + ": " +
+                           reason);
+}
+
+std::optional<MetricsStreamReader::Record> MetricsStreamReader::next(
+    JsonValue& rec) {
+  std::string text;
+  if (!std::getline(*in_, text)) {
+    if (in_->bad()) {
+      ++line_;
+      fail("read error");
+    }
+    in_->clear();  // the next call retries from the same offset
+    return std::nullopt;
+  }
+  ++line_;
+  try {
+    rec = JsonValue::parse(text);
+  } catch (const std::exception& e) {
+    fail(e.what());
+  }
+  if (!rec.is_object()) fail("record is not a JSON object");
+  if (finished_) fail("record after the final summary record");
+  if (line_ == 1) {
+    const JsonValue* schema = rec.find("schema");
+    if (schema == nullptr || schema->string != kMetricsSchema) {
+      fail("missing or unknown schema (want " + std::string(kMetricsSchema) +
+           " header record)");
+    }
+    return Record::Header;
+  }
+  const JsonValue* final_flag = rec.find("final");
+  if (final_flag != nullptr && final_flag->boolean) {
+    finished_ = true;
+    return Record::Final;
+  }
+  if (rec.find("cycle") == nullptr) {
+    fail("sample record has no \"cycle\" field");
+  }
+  return Record::Sample;
 }
 
 }  // namespace flexnet

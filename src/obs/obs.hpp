@@ -33,16 +33,19 @@
 // It is the run's only interval sampler: Simulation runs one whenever
 // metrics or telemetry are on. Every sample is appended to a deterministic
 // `flexnet-metrics-v2` NDJSON stream (one compact JSON record per line,
-// flushed per record so `metrics_tail --follow` can watch a live run), and a
-// cumulative summary is folded into the telemetry manifest. The collector's
-// cumulative state is serialized into snapshot section 10, so a resumed run
-// continues the stream bit-exactly. Disabled cost inside the simulator: one
+// flushed per record so `flexnet-inspect --follow` can watch a live run;
+// MetricsStreamReader reads it back), and a cumulative summary is folded
+// into the telemetry manifest. The collector's cumulative state is
+// serialized into snapshot section 10, so a resumed run continues the
+// stream bit-exactly. Disabled cost inside the simulator: one
 // null-pointer branch at the delivery hook, nothing else.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <fstream>
+#include <iosfwd>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -55,6 +58,7 @@
 namespace flexnet {
 
 class JsonWriter;
+struct JsonValue;
 
 inline constexpr std::string_view kMetricsSchema = "flexnet-metrics-v2";
 
@@ -292,6 +296,32 @@ class ObsCollector {
   std::vector<std::uint64_t> node_gen_;
   std::vector<VcId> involved_;
   std::uint64_t gen_ = 0;
+};
+
+/// Reads a flexnet-metrics-v2 stream back one record per call, validating
+/// every line: garbage or truncated JSON, a header record of another schema,
+/// a sample without "cycle" or any record after the final one throws
+/// std::runtime_error("origin:line: reason").
+class MetricsStreamReader {
+ public:
+  enum class Record : std::uint8_t { Header, Sample, Final };
+
+  /// `in` must outlive the reader.
+  MetricsStreamReader(std::istream& in, std::string origin);
+
+  /// Reads the next line into `rec`; std::nullopt at the end of the input
+  /// so far (a live stream may grow, and a later call reads on).
+  [[nodiscard]] std::optional<Record> next(JsonValue& rec);
+  /// True once the final summary record has been read.
+  [[nodiscard]] bool finished() const noexcept { return finished_; }
+
+ private:
+  [[noreturn]] void fail(const std::string& reason) const;
+
+  std::istream* in_;
+  std::string origin_;
+  std::size_t line_ = 0;
+  bool finished_ = false;
 };
 
 }  // namespace flexnet

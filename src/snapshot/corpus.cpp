@@ -104,6 +104,7 @@ ReplayResult replay_capture(const Snapshot& snap) {
   result.resource_set_size = static_cast<int>(best->resource_set.size());
   result.knot_size = static_cast<int>(best->knot_vcs.size());
   result.cwg_hash = best_hash;
+  result.deadlock_set = best->deadlock_set;
 
   const bool sizes_match =
       result.deadlock_set_size == snap.meta.deadlock_set_size &&

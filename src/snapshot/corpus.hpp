@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <string>
 #include <unordered_set>
+#include <vector>
 
 #include "core/detector.hpp"
 #include "snapshot/snapshot.hpp"
@@ -83,6 +84,7 @@ struct ReplayResult {
   int resource_set_size = 0;
   int knot_size = 0;
   std::uint64_t cwg_hash = 0;
+  std::vector<MessageId> deadlock_set;  ///< The best-matching knot's members.
   std::string detail;  ///< Human-readable mismatch description (empty on match).
 };
 

@@ -31,6 +31,7 @@ enum class SimPhase : std::uint8_t {
   KnotDensity,  ///< Knot cycle density inside a detection pass.
   KnotSearch,   ///< The knot search (SCC over the wait-for graph) in a pass.
   CwgBuild,     ///< Building a CWG in a pass (hooks, samples, the oracle).
+  KnotHook,     ///< Forensics and capture hooks on a confirmed knot.
   kCount_,      ///< Sentinel; not a real phase.
 };
 
@@ -49,6 +50,7 @@ inline constexpr SimPhaseInfo kSimPhaseInfo[] = {
     {"transmit", false},     {"detector", false},
     {"recovery", true},      {"knot_density", true},
     {"knot_search", true},   {"cwg_build", true},
+    {"knot_hook", true},
 };
 static_assert(std::size(kSimPhaseInfo) == kNumSimPhases,
               "one kSimPhaseInfo row per SimPhase");

@@ -1,7 +1,7 @@
 // Built-in explicit-graph topology generators. Each returns a
 // GraphTopology::Spec (node count + link list) so callers can either build
-// the topology or write the spec out as a flexnet-topo-v1 file (topo_dump
-// --emit). All generators are deterministic: the same parameters (and seed,
+// the topology or write the spec out as a flexnet-topo-v1 file
+// (flexnet-inspect --emit). All generators are deterministic: the same parameters (and seed,
 // for the random family) always produce the identical canonical link list.
 #pragma once
 

@@ -1,5 +1,6 @@
 #include "trace/sinks.hpp"
 
+#include <algorithm>
 #include <istream>
 #include <ostream>
 #include <stdexcept>
@@ -132,6 +133,9 @@ void put_le(std::uint8_t* out, std::uint64_t value, int bytes) noexcept {
   }
 }
 
+/// The header's magic, which its u32 version follows.
+constexpr std::size_t kMagicSize = kBinaryTraceHeaderSize - 4;
+
 std::uint64_t get_le(const std::uint8_t* in, int bytes) noexcept {
   std::uint64_t value = 0;
   for (int i = 0; i < bytes; ++i) {
@@ -163,7 +167,12 @@ TraceEvent decode_trace_event(const std::uint8_t* in) noexcept {
   return event;
 }
 
-BinaryTraceSink::BinaryTraceSink(std::ostream& out) : out_(out) {}
+BinaryTraceSink::BinaryTraceSink(std::ostream& out) : out_(out) {
+  std::uint8_t header[kBinaryTraceHeaderSize];
+  std::copy_n(kBinaryTraceMagic, kMagicSize, header);
+  put_le(header + kMagicSize, kBinaryTraceVersion, 4);
+  out_.write(reinterpret_cast<const char*>(header), sizeof(header));
+}
 
 void BinaryTraceSink::on_event(const TraceEvent& event) {
   std::uint8_t buf[kBinaryTraceEventSize];
@@ -174,15 +183,39 @@ void BinaryTraceSink::on_event(const TraceEvent& event) {
 
 void BinaryTraceSink::flush() { out_.flush(); }
 
-std::vector<TraceEvent> read_binary_trace(std::istream& in) {
+std::vector<TraceEvent> read_binary_trace(std::istream& in,
+                                          const std::string& origin) {
+  std::size_t offset = 0;
+  const auto fail = [&](const std::string& what) {
+    throw std::runtime_error(origin + ": byte " + std::to_string(offset) +
+                             ": " + what);
+  };
+  std::uint8_t header[kBinaryTraceHeaderSize];
+  in.read(reinterpret_cast<char*>(header), sizeof(header));
+  if (in.gcount() != static_cast<std::streamsize>(sizeof(header)) ||
+      !std::equal(header, header + kMagicSize, kBinaryTraceMagic)) {
+    fail("bad magic (not a flexnet-btrace file)");
+  }
+  offset = kMagicSize;
+  const auto version = get_le(header + kMagicSize, 4);
+  if (version != kBinaryTraceVersion) {
+    fail("unsupported version " + std::to_string(version) + " (expected " +
+         std::to_string(kBinaryTraceVersion) + ")");
+  }
+  offset = kBinaryTraceHeaderSize;
   std::vector<TraceEvent> events;
   std::uint8_t buf[kBinaryTraceEventSize];
-  for (;;) {
+  for (;; offset += sizeof(buf)) {
     in.read(reinterpret_cast<char*>(buf), sizeof(buf));
     const auto got = in.gcount();
     if (got == 0) break;
     if (got != static_cast<std::streamsize>(sizeof(buf))) {
-      throw std::runtime_error("truncated binary trace record");
+      fail("truncated record (" + std::to_string(got) + " of " +
+           std::to_string(sizeof(buf)) + " bytes)");
+    }
+    if (buf[32] >= kNumTraceEventKinds) {
+      offset += 32;
+      fail("unknown event kind " + std::to_string(buf[32]));
     }
     events.push_back(decode_trace_event(buf));
   }

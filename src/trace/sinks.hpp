@@ -7,9 +7,10 @@
 //                      https://ui.perfetto.dev). One track (tid) per node;
 //                      blocked episodes render as duration slices, flit/VC
 //                      events as instants, deadlocks as global instants.
-//  * BinaryTraceSink — fixed-width little-endian encoding of every event,
-//                      byte-identical across runs of the same (config, seed).
-//                      Used for determinism checking and by tools/trace_dump.
+//  * BinaryTraceSink — fixed-width little-endian encoding of every event
+//                      after a magic + version header, byte-identical
+//                      across runs of the same (config, seed). Used for
+//                      determinism checking and read by flexnet-inspect.
 #pragma once
 
 #include <cstdint>
@@ -76,10 +77,17 @@ class ChromeTraceSink final : public TraceSink {
 
 /// Number of bytes each event occupies in the binary encoding.
 inline constexpr std::size_t kBinaryTraceEventSize = 8 + 8 + 4 + 4 + 4 + 4 + 1;
+/// A binary trace opens with this magic (14 bytes, no NUL) and a u32 LE
+/// version; the events follow.
+inline constexpr char kBinaryTraceMagic[] = "flexnet-btrace";
+inline constexpr std::uint32_t kBinaryTraceVersion = 1;
+inline constexpr std::size_t kBinaryTraceHeaderSize =
+    sizeof(kBinaryTraceMagic) - 1 + 4;
 
 class BinaryTraceSink final : public TraceSink {
  public:
-  /// Streams the encoding to `out`, which must outlive the sink.
+  /// Writes the header, then streams each event's encoding to `out`, which
+  /// must outlive the sink.
   explicit BinaryTraceSink(std::ostream& out);
 
   void on_event(const TraceEvent& event) override;
@@ -96,8 +104,10 @@ class BinaryTraceSink final : public TraceSink {
 void encode_trace_event(const TraceEvent& event, std::uint8_t* out) noexcept;
 /// Decodes one event from kBinaryTraceEventSize bytes.
 [[nodiscard]] TraceEvent decode_trace_event(const std::uint8_t* in) noexcept;
-/// Reads a whole binary trace stream; throws std::runtime_error on a
-/// truncated final record.
-[[nodiscard]] std::vector<TraceEvent> read_binary_trace(std::istream& in);
+/// Reads a whole binary trace stream. Throws std::runtime_error
+/// "origin: byte N: what" on a missing or bad header, a truncated final
+/// record, or an event kind byte >= kNumTraceEventKinds.
+[[nodiscard]] std::vector<TraceEvent> read_binary_trace(
+    std::istream& in, const std::string& origin = "binary trace");
 
 }  // namespace flexnet

@@ -3,6 +3,7 @@
 #include <charconv>
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <stdexcept>
 
 namespace flexnet {
@@ -337,7 +338,26 @@ class Parser {
       pos_ = start;
       fail("malformed number");
     }
+    exact_integer(token, v);
     return v;
+  }
+
+  /// Records an integer token's exact value when it fits in 64 bits.
+  static void exact_integer(std::string_view token, JsonValue& v) {
+    const char* end = token.data() + token.size();
+    std::int64_t i = 0;
+    const auto [i_end, i_ec] = std::from_chars(token.data(), end, i);
+    if (i_ec == std::errc{} && i_end == end) {
+      v.exact = JsonValue::Exact::Signed;
+      v.bits = static_cast<std::uint64_t>(i);
+      return;
+    }
+    std::uint64_t u = 0;
+    const auto [u_end, u_ec] = std::from_chars(token.data(), end, u);
+    if (u_ec == std::errc{} && u_end == end) {
+      v.exact = JsonValue::Exact::Unsigned;
+      v.bits = u;
+    }
   }
 
   std::string_view text_;
@@ -350,12 +370,39 @@ JsonValue JsonValue::parse(std::string_view text) {
   return Parser(text).parse_document();
 }
 
+std::int64_t JsonValue::as_int() const noexcept {
+  using Limits = std::numeric_limits<std::int64_t>;
+  if (exact == Exact::Signed) return static_cast<std::int64_t>(bits);
+  if (exact == Exact::Unsigned) return Limits::max();
+  if (type != Type::Number) return 0;
+  // 2^63 is exact in a double; every double below it converts.
+  if (number >= 0x1p63) return Limits::max();
+  if (number <= -0x1p63) return Limits::min();
+  return static_cast<std::int64_t>(number);
+}
+
+std::uint64_t JsonValue::as_uint() const noexcept {
+  if (exact == Exact::Unsigned) return bits;
+  if (exact == Exact::Signed) {
+    return static_cast<std::int64_t>(bits) < 0 ? 0 : bits;
+  }
+  if (type != Type::Number || !(number > 0)) return 0;
+  if (number >= 0x1p64) return std::numeric_limits<std::uint64_t>::max();
+  return static_cast<std::uint64_t>(number);
+}
+
 const JsonValue* JsonValue::find(std::string_view name) const noexcept {
   if (type != Type::Object) return nullptr;
   for (const auto& [key, value] : object) {
     if (key == name) return &value;
   }
   return nullptr;
+}
+
+const JsonValue& JsonValue::operator[](std::string_view name) const noexcept {
+  static const JsonValue null;
+  const JsonValue* v = find(name);
+  return v != nullptr ? *v : null;
 }
 
 const JsonValue& JsonValue::at(std::string_view name) const {

@@ -5,9 +5,10 @@
 //    always serialize to identical bytes — the property the telemetry
 //    manifest's determinism guarantee rests on.
 //  * JsonValue  — a small recursive-descent parser for reading manifests
-//    back (tools/telemetry_dump, round-trip tests). Object member order is
-//    preserved. Numbers are held as doubles; integer fidelity holds up to
-//    2^53, far beyond any simulator counter.
+//    and metrics streams back (flexnet-inspect, round-trip tests). Object
+//    member order is preserved. Numbers are held as doubles; an integer
+//    token also keeps its exact 64-bit value, so seeds and content hashes
+//    read back unrounded.
 #pragma once
 
 #include <cstdint>
@@ -74,6 +75,12 @@ struct JsonValue {
   Type type = Type::Null;
   bool boolean = false;
   double number = 0.0;
+  /// How `bits` holds an integer token that fits in 64 bits: as an int64
+  /// (Signed) or, above INT64_MAX, as a uint64 (Unsigned). None for
+  /// non-integer numbers and non-numbers.
+  enum class Exact : std::uint8_t { None, Signed, Unsigned };
+  Exact exact = Exact::None;
+  std::uint64_t bits = 0;
   std::string string;
   std::vector<JsonValue> array;
   /// Members in document order.
@@ -92,11 +99,15 @@ struct JsonValue {
   [[nodiscard]] const JsonValue* find(std::string_view name) const noexcept;
   /// find() that throws std::runtime_error when the member is missing.
   [[nodiscard]] const JsonValue& at(std::string_view name) const;
+  /// find() that reads a missing member as a null value.
+  [[nodiscard]] const JsonValue& operator[](std::string_view name) const noexcept;
 
-  /// number as int64 (truncating); 0 for non-numbers.
-  [[nodiscard]] std::int64_t as_int() const noexcept {
-    return static_cast<std::int64_t>(number);
-  }
+  /// The exact integer, else `number` truncated; a value outside int64
+  /// clamps to the nearest end. 0 for non-numbers.
+  [[nodiscard]] std::int64_t as_int() const noexcept;
+  /// The exact integer, else `number` truncated; negative values read 0 and
+  /// values above UINT64_MAX clamp to it. 0 for non-numbers.
+  [[nodiscard]] std::uint64_t as_uint() const noexcept;
 };
 
 }  // namespace flexnet

@@ -101,6 +101,27 @@ TEST(JsonValue, ParsesNumbers) {
   EXPECT_DOUBLE_EQ(v.array[3].number, 1e-3);
 }
 
+TEST(JsonValue, IntegersStayExactAndConversionsClamp) {
+  const JsonValue v = JsonValue::parse(
+      "[10905525725756348110, 9007199254740993, -9223372036854775808, "
+      "18446744073709551615, 1e30, -1e30, 2.9, -3, 99999999999999999999]");
+  EXPECT_EQ(v.array[0].as_uint(), 10905525725756348110ULL);
+  EXPECT_EQ(v.array[0].as_int(), INT64_MAX);  // clamps, no overflow
+  EXPECT_EQ(v.array[1].as_int(), 9007199254740993LL);  // 2^53 + 1
+  EXPECT_EQ(v.array[2].as_int(), INT64_MIN);
+  EXPECT_EQ(v.array[3].as_uint(), UINT64_MAX);
+  EXPECT_EQ(v.array[4].as_int(), INT64_MAX);
+  EXPECT_EQ(v.array[4].as_uint(), UINT64_MAX);
+  EXPECT_EQ(v.array[5].as_int(), INT64_MIN);
+  EXPECT_EQ(v.array[5].as_uint(), 0u);
+  EXPECT_EQ(v.array[6].as_int(), 2);
+  EXPECT_EQ(v.array[7].as_uint(), 0u);
+  EXPECT_EQ(v.array[7].as_int(), -3);
+  EXPECT_EQ(v.array[8].exact, JsonValue::Exact::None);  // beyond 64 bits
+  EXPECT_EQ(v.array[8].as_uint(), UINT64_MAX);
+  EXPECT_EQ(JsonValue::parse("\"7\"").as_int(), 0);
+}
+
 TEST(JsonValue, FindAndAt) {
   const JsonValue v = JsonValue::parse(R"({"a":1})");
   EXPECT_NE(v.find("a"), nullptr);

@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -193,6 +194,63 @@ TEST(ObsStream, WellFormedHeaderSamplesAndFinalRecord) {
             result.obs.samples);
   EXPECT_EQ(static_cast<std::int64_t>(final_record.at("warnings").number),
             result.obs.warnings);
+}
+
+/// MetricsStreamReader's error text for `text`, or "" when every record reads.
+std::string stream_error(const std::string& text) {
+  std::istringstream in(text);
+  MetricsStreamReader reader(in, "m.ndjson");
+  JsonValue rec;
+  try {
+    while (reader.next(rec)) {
+    }
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(ObsStream, ReaderValidatesEveryRecord) {
+  const std::string path = ::testing::TempDir() + "flexnet_obs_reader.ndjson";
+  ExperimentConfig cfg = small_torus_cfg();
+  cfg.obs.metrics_path = path;
+  cfg.obs.interval = 100;
+  const ExperimentResult result = run_experiment(cfg);
+  const std::string text = read_file(path);
+  const std::vector<std::string> lines = split_lines(text);
+
+  // A live stream grows: the reader stops at the end so far, then reads on.
+  using Record = MetricsStreamReader::Record;
+  std::stringstream live;
+  live << lines[0] << '\n';
+  MetricsStreamReader reader(live, "m.ndjson");
+  JsonValue rec;
+  EXPECT_EQ(reader.next(rec), Record::Header);
+  EXPECT_EQ(reader.next(rec), std::nullopt);
+  for (std::size_t i = 1; i < lines.size(); ++i) live << lines[i] << '\n';
+  std::size_t samples = 0;
+  std::optional<Record> record;
+  while ((record = reader.next(rec)) == Record::Sample) ++samples;
+  EXPECT_EQ(samples, result.obs.samples);
+  EXPECT_EQ(record, Record::Final);
+  EXPECT_TRUE(reader.finished());
+  EXPECT_EQ(reader.next(rec), std::nullopt);
+
+  EXPECT_EQ(stream_error(text), "");
+  const std::size_t last = lines.size();
+  EXPECT_EQ(stream_error(text + lines[1] + "\n"),
+            "m.ndjson:" + std::to_string(last + 1) +
+                ": record after the final summary record");
+  EXPECT_EQ(stream_error("{\"schema\":\"flexnet-metrics-v1\"}\n"),
+            "m.ndjson:1: missing or unknown schema (want flexnet-metrics-v2 "
+            "header record)");
+  EXPECT_EQ(stream_error(lines[0] + "\n{\"score\":1}\n"),
+            "m.ndjson:2: sample record has no \"cycle\" field");
+  EXPECT_EQ(stream_error(lines[0] + "\n[1]\n"),
+            "m.ndjson:2: record is not a JSON object");
+  EXPECT_EQ(stream_error(text.substr(0, lines[0].size() + 20)).rfind(
+                "m.ndjson:2: JSON parse error", 0),
+            0u);
 }
 
 TEST(ObsStream, CollectorSnapshotRoundTripsByteExactly) {

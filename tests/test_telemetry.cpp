@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <set>
@@ -215,11 +216,13 @@ TEST(PhaseProfiler, NestedPhasesStayOutOfTheTotal) {
   EXPECT_TRUE(is_nested(SimPhase::KnotDensity));
   EXPECT_TRUE(is_nested(SimPhase::KnotSearch));
   EXPECT_TRUE(is_nested(SimPhase::CwgBuild));
+  EXPECT_TRUE(is_nested(SimPhase::KnotHook));
   EXPECT_FALSE(is_nested(SimPhase::Detector));
   EXPECT_FALSE(is_nested(SimPhase::Transmit));
   EXPECT_EQ(to_string(SimPhase::KnotDensity), "knot_density");
   EXPECT_EQ(to_string(SimPhase::KnotSearch), "knot_search");
   EXPECT_EQ(to_string(SimPhase::CwgBuild), "cwg_build");
+  EXPECT_EQ(to_string(SimPhase::KnotHook), "knot_hook");
   // Every phase has its own name.
   std::set<std::string_view> names;
   for (std::size_t i = 0; i < kNumSimPhases; ++i) {
@@ -233,11 +236,13 @@ TEST(PhaseProfiler, NestedPhasesStayOutOfTheTotal) {
   profiler.record(SimPhase::Recovery, 100);
   profiler.record(SimPhase::KnotDensity, 600);
   profiler.record(SimPhase::KnotSearch, 150);
-  profiler.record(SimPhase::CwgBuild, 50);
+  profiler.record(SimPhase::CwgBuild, 40);
+  profiler.record(SimPhase::KnotHook, 10);
   // The nested 900 ns is inside Detector.
   EXPECT_EQ(profiler.total_ns(), 1300);
   const std::string table = profiler.table();
-  for (const char* nested : {"knot_density", "knot_search", "cwg_build"}) {
+  for (const char* nested :
+       {"knot_density", "knot_search", "cwg_build", "knot_hook"}) {
     const std::size_t row = table.find(nested);
     ASSERT_NE(row, std::string::npos) << nested;
     EXPECT_NE(table.find("(in detector)", row), std::string::npos) << nested;
@@ -257,17 +262,26 @@ TEST(PhaseProfiler, DetectorStagesAreTimedInsideAPass) {
   cfg.run.warmup = 0;
   cfg.run.measure = 1000;
   cfg.telemetry.collect = true;
+  const std::string capture_dir = ::testing::TempDir() + "flexnet_knot_hook";
+  std::filesystem::remove_all(capture_dir);
+  cfg.snapshot.capture_dir = capture_dir;
+  cfg.snapshot.capture_limit = 2;
   Simulation sim(cfg);
   const ExperimentResult result = sim.run();
+  std::filesystem::remove_all(capture_dir);
   ASSERT_GT(result.window.deadlocks, 0);
   const PhaseProfiler& profiler = sim.telemetry()->profiler();
   const auto& detector = profiler.stats(SimPhase::Detector);
   const auto& search = profiler.stats(SimPhase::KnotSearch);
   const auto& build = profiler.stats(SimPhase::CwgBuild);
+  const auto& hook = profiler.stats(SimPhase::KnotHook);
   EXPECT_GT(search.calls, 0);
   EXPECT_LE(search.calls, detector.calls);
   EXPECT_GT(build.calls, 0);  // every fifth pass is due a total-cycle sample
-  EXPECT_LE(search.total_ns + build.total_ns +
+  // The capture hook runs once per confirmed knot, past the capture limit
+  // too (it still hashes the knot to count duplicates and drops).
+  EXPECT_EQ(hook.calls, sim.detector().total_deadlocks());
+  EXPECT_LE(search.total_ns + build.total_ns + hook.total_ns +
                 profiler.stats(SimPhase::KnotDensity).total_ns +
                 profiler.stats(SimPhase::Recovery).total_ns,
             detector.total_ns);
@@ -398,6 +412,23 @@ TEST(Telemetry, ManifestParsesWithFullSchema) {
   EXPECT_GT(root.at("heatmap").at("total_traversals").as_int(), 0);
   EXPECT_FALSE(root.at("heatmap").at("hot_channels").array.empty());
   EXPECT_EQ(root.at("profile").at("phases").array.size(), kNumSimPhases);
+}
+
+TEST(Telemetry, ManifestSeedAndTopologyHashReadBackExactly) {
+  // Both are full 64-bit values; a double would round them above 2^53.
+  ExperimentConfig cfg = telemetry_config();
+  cfg.sim.seed = 10905525725756348110ULL;
+  cfg.run.measure = 200;
+  Simulation sim(cfg);
+  const ExperimentResult result = sim.run();
+  std::ostringstream out;
+  write_manifest_json(out, sim.config(), result, *sim.telemetry(),
+                      sim.network(), sim.obs());
+  const JsonValue root = JsonValue::parse(out.str());
+  EXPECT_EQ(root.at("config").at("sim").at("seed").as_uint(), cfg.sim.seed);
+  const std::uint64_t hash = sim.network().topology().content_hash();
+  ASSERT_GT(hash, std::uint64_t{1} << 53);  // a hash this test can tell apart
+  EXPECT_EQ(root.at("topology").at("content_hash").as_uint(), hash);
 }
 
 TEST(Telemetry, StreamRecordsDeriveTheWindowFlow) {

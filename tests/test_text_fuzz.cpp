@@ -1,11 +1,13 @@
 // Seeded mutation fuzzer for the four line-oriented text formats
-// (flexnet-topo-v1, flexnet-rtable-v1, flexnet-trace-v1, flexnet-pace-v1).
-// Each input is a valid file: the committed .topo files, plus a route table,
-// a trace and a pace profile written by their writers. Every mutant must
-// either parse or throw std::runtime_error whose message starts with
-// "<origin>:<line>: "; any other exception fails here, and a crash or
-// memory error fails the sanitizer builds. Seeds and counts are fixed, so
-// the run is the same everywhere.
+// (flexnet-topo-v1, flexnet-rtable-v1, flexnet-trace-v1, flexnet-pace-v1)
+// and the flexnet-btrace binary trace. Each input is a valid file: the
+// committed .topo files, plus a route table, a trace, a pace profile and a
+// binary trace written by their writers. Every text mutant must either
+// parse or throw std::runtime_error whose message starts with
+// "<origin>:<line>: ", every binary mutant "<origin>: byte <offset>: "; any
+// other exception fails here, and a crash or memory error fails the
+// sanitizer builds. Seeds and counts are fixed, so the run is the same
+// everywhere.
 #include <gtest/gtest.h>
 
 #include <cctype>
@@ -22,6 +24,7 @@
 #include "routing/table.hpp"
 #include "sim/network.hpp"
 #include "topo/topo_file.hpp"
+#include "trace/sinks.hpp"
 #include "util/rng.hpp"
 #include "workload/pace.hpp"
 #include "workload/trace_file.hpp"
@@ -82,10 +85,11 @@ std::string mutate(std::string text, Pcg32& rng) {
   return text;
 }
 
-bool names_origin_and_line(const std::string& what,
-                           const std::string& origin) {
-  if (what.rfind(origin + ":", 0) != 0) return false;
-  const std::size_t digits = origin.size() + 1;
+/// True when `what` starts with `origin` + `sep` + a decimal number + ": ".
+bool names_origin_and_number(const std::string& what, const std::string& origin,
+                             const std::string& sep) {
+  if (what.rfind(origin + sep, 0) != 0) return false;
+  const std::size_t digits = origin.size() + sep.size();
   std::size_t at = digits;
   while (at < what.size() &&
          std::isdigit(static_cast<unsigned char>(what[at])) != 0) {
@@ -96,22 +100,25 @@ bool names_origin_and_line(const std::string& what,
 
 /// Runs `parse` on kMutantsPerInput mutants of `text` and checks the error
 /// shape of every rejection.
+using Mutator = std::function<std::string(std::string, Pcg32&)>;
+
 void fuzz(const std::string& text, const std::string& origin,
           std::uint64_t seed,
-          const std::function<void(const std::string&)>& parse) {
+          const std::function<void(const std::string&)>& parse,
+          const Mutator& mutator = mutate, const std::string& sep = ":") {
   parse(text);  // the unmutated input is valid
   Pcg32 rng(seed);
   int accepted = 0, rejected = 0, failures = 0;
   for (int n = 0; n < kMutantsPerInput; ++n) {
-    const std::string mutant = mutate(text, rng);
+    const std::string mutant = mutator(text, rng);
     std::string problem;
     try {
       parse(mutant);
       ++accepted;
     } catch (const std::runtime_error& e) {
       ++rejected;
-      if (!names_origin_and_line(e.what(), origin)) {
-        problem = std::string("error lacks origin:line: ") + e.what();
+      if (!names_origin_and_number(e.what(), origin, sep)) {
+        problem = "error lacks " + origin + sep + "N: " + e.what();
       }
     } catch (const std::exception& e) {
       problem = std::string("wrong exception type: ") + e.what();
@@ -197,6 +204,49 @@ TEST(TextFuzz, Pace) {
     std::istringstream in(mutant);
     (void)read_pace(in, "profile.pace");
   });
+}
+
+/// One to three stacked byte mutations: truncate, flip one bit, or splice a
+/// run of bytes from one offset over another.
+std::string mutate_bytes(std::string bytes, Pcg32& rng) {
+  const auto pick = [&rng](std::size_t n) {
+    return static_cast<std::size_t>(rng.bounded(static_cast<std::uint32_t>(n)));
+  };
+  for (std::size_t steps = 1 + pick(3); steps > 0; --steps) {
+    const std::size_t op = pick(3);
+    if (op == 0) {
+      bytes.resize(pick(bytes.size() + 1));
+    } else if (!bytes.empty() && op == 1) {
+      bytes[pick(bytes.size())] ^= static_cast<char>(1u << pick(8));
+    } else if (!bytes.empty()) {
+      const std::size_t from = pick(bytes.size());
+      const std::size_t to = pick(bytes.size());
+      const std::string run =
+          bytes.substr(from, 1 + pick(2 * kBinaryTraceEventSize));
+      bytes.replace(to, run.size(), run);
+    }
+  }
+  return bytes;
+}
+
+TEST(TextFuzz, BinaryTrace) {
+  std::ostringstream out(std::ios::binary);
+  BinaryTraceSink sink(out);
+  Pcg32 rng(41);
+  for (Cycle cycle = 0; cycle < 30; ++cycle) {
+    TraceEvent e;
+    e.cycle = cycle;
+    e.kind = static_cast<TraceEventKind>(rng.bounded(kNumTraceEventKinds));
+    e.message = rng.bounded(8);
+    e.vc = static_cast<VcId>(rng.bounded(64));
+    e.node = static_cast<NodeId>(rng.bounded(16));
+    sink.on_event(e);
+  }
+  sink.flush();
+  fuzz(out.str(), "run.bin", 42, [](const std::string& mutant) {
+    std::istringstream in(mutant, std::ios::binary);
+    (void)read_binary_trace(in, "run.bin");
+  }, mutate_bytes, ": byte ");
 }
 
 }  // namespace

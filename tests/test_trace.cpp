@@ -9,6 +9,7 @@
 #include "exp/experiment.hpp"
 #include "trace/forensics.hpp"
 #include "trace/sinks.hpp"
+#include "util/rng.hpp"
 
 namespace flexnet {
 namespace {
@@ -115,6 +116,68 @@ TEST(BinaryTraceSink, StreamRoundTripAndTruncationDetection) {
   std::istringstream truncated(out.str().substr(0, out.str().size() - 1),
                                std::ios::binary);
   EXPECT_THROW(read_binary_trace(truncated), std::runtime_error);
+}
+
+/// read_binary_trace's error text for `bytes`, or "" when it loads.
+std::string binary_trace_error(const std::string& bytes) {
+  std::istringstream in(bytes, std::ios::binary);
+  try {
+    (void)read_binary_trace(in, "t.bin");
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(BinaryTraceSink, HeaderAnnouncesTheFormat) {
+  std::ostringstream out(std::ios::binary);
+  BinaryTraceSink sink(out);
+  sink.flush();
+  const std::string empty = out.str();
+  ASSERT_EQ(empty.size(), kBinaryTraceHeaderSize);
+  EXPECT_EQ(empty.substr(0, 14), "flexnet-btrace");
+  std::istringstream in(empty, std::ios::binary);
+  EXPECT_TRUE(read_binary_trace(in).empty());
+}
+
+TEST(BinaryTraceSink, RejectsGarbageNamingTheByteOffset) {
+  // Bytes that are not a trace: random data, and a text file cut to a
+  // whole number of records, both used to load as events.
+  Pcg32 rng(7);
+  std::string noise(330, '\0');
+  for (char& c : noise) c = static_cast<char>(rng.bounded(256));
+  EXPECT_EQ(binary_trace_error(noise),
+            "t.bin: byte 0: bad magic (not a flexnet-btrace file)");
+  EXPECT_EQ(binary_trace_error(std::string(20 * kBinaryTraceEventSize, '#')),
+            "t.bin: byte 0: bad magic (not a flexnet-btrace file)");
+  EXPECT_EQ(binary_trace_error(""),
+            "t.bin: byte 0: bad magic (not a flexnet-btrace file)");
+  EXPECT_EQ(binary_trace_error("flexnet-btr"),
+            "t.bin: byte 0: bad magic (not a flexnet-btrace file)");
+
+  std::ostringstream out(std::ios::binary);
+  BinaryTraceSink sink(out);
+  sink.on_event(make_event(1, TraceEventKind::VcFreed, 3));
+  sink.on_event(make_event(2, TraceEventKind::VcFreed, 4));
+  sink.flush();
+  const std::string good = out.str();
+  ASSERT_EQ(binary_trace_error(good), "");
+
+  std::string version = good;
+  version[14] = 2;
+  EXPECT_EQ(binary_trace_error(version),
+            "t.bin: byte 14: unsupported version 2 (expected 1)");
+
+  std::string kind = good;
+  const std::size_t second = kBinaryTraceHeaderSize + kBinaryTraceEventSize;
+  kind[second + 32] = static_cast<char>(kNumTraceEventKinds);
+  EXPECT_EQ(binary_trace_error(kind),
+            "t.bin: byte " + std::to_string(second + 32) +
+                ": unknown event kind " + std::to_string(kNumTraceEventKinds));
+
+  EXPECT_EQ(binary_trace_error(good.substr(0, second + 5)),
+            "t.bin: byte " + std::to_string(second) +
+                ": truncated record (5 of 33 bytes)");
 }
 
 TEST(ChromeTraceSink, EmitsLoadableJson) {
